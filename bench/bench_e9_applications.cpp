@@ -22,6 +22,7 @@
 #include "fabric/activity_probe.hpp"
 #include "sim/compiled/batch.hpp"
 #include "sim/compiled/compiled_fabric.hpp"
+#include "util/hash.hpp"
 #include "workloads/app_circuits.hpp"
 #include "workloads/compile_suite.hpp"
 
@@ -189,20 +190,17 @@ int main() {
     dev.applyBitstream(cc.fullBitstream());
     LoadedCircuit lc(dev, cc);
 
-    auto fnv = [](std::uint64_t h, std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
-      return h;
-    };
     auto replay = [&](double& wallNs) {
       dev.resetFfs();
       lc.applyInitialState();
       lc.setInput("en", true);
       lc.setInput("clr", false);
-      std::uint64_t h = 0xcbf29ce484222325ull;
+      std::uint64_t h = kFnvOffset;
       const auto t0 = std::chrono::steady_clock::now();
       for (std::uint64_t i = 0; i < kCycles; ++i) {
         dev.evaluate();
-        h = fnv(h, lc.outputBus("q", 8) | (lc.output("wrap") ? 1ull << 8 : 0));
+        h = fnv1aU64(
+            h, lc.outputBus("q", 8) | (lc.output("wrap") ? 1ull << 8 : 0));
         dev.tick();
       }
       const auto t1 = std::chrono::steady_clock::now();
@@ -222,7 +220,7 @@ int main() {
 
     // Batch: all 64 lanes get the scalar stimulus; lane 0's checksum must
     // reproduce the interpretive one.
-    std::uint64_t batchSum = 0xcbf29ce484222325ull;
+    std::uint64_t batchSum = kFnvOffset;
     if (program != nullptr) {
       compiled::BatchEvaluator be(program);
       const std::uint32_t en = cc.padSlotOf("en");
@@ -238,7 +236,7 @@ int main() {
         std::uint64_t q = 0;
         for (int b = 0; b < 8; ++b) q |= (be.padOutput(qSlots[b]) & 1) << b;
         q |= (be.padOutput(wrap) & 1) << 8;
-        batchSum = fnv(batchSum, q);
+        batchSum = fnv1aU64(batchSum, q);
         be.tick();
       }
       const auto t1 = std::chrono::steady_clock::now();

@@ -3,45 +3,23 @@
 #include <string>
 
 #include "netlist/text_io.hpp"
+#include "util/hash.hpp"
 
 namespace vfpga::cluster {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void mixBytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-void mixU64(std::uint64_t& h, std::uint64_t v) {
-  // Byte-order-independent: feed the value little-endian by construction.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
-
 std::uint64_t compileDigest(const Netlist& nl, const FabricGeometry& g,
                             std::uint32_t frameBits, std::uint16_t width) {
-  std::uint64_t h = kFnvOffset;
   const std::string text = writeNetlistText(nl);
-  mixBytes(h, text.data(), text.size());
-  mixU64(h, g.rows);
-  mixU64(h, g.cols);
-  mixU64(h, g.lutInputs);
-  mixU64(h, g.wiresPerChannel);
-  mixU64(h, g.slotsPerPad);
-  mixU64(h, frameBits);
-  mixU64(h, width);
-  return h;
+  std::uint64_t h = fnv1aBytes(
+      kFnvOffset, {reinterpret_cast<const std::uint8_t*>(text.data()),
+                   text.size()});
+  h = fnv1aU64(h, g.rows);
+  h = fnv1aU64(h, g.cols);
+  h = fnv1aU64(h, g.lutInputs);
+  h = fnv1aU64(h, g.wiresPerChannel);
+  h = fnv1aU64(h, g.slotsPerPad);
+  h = fnv1aU64(h, frameBits);
+  return fnv1aU64(h, width);
 }
 
 BitstreamCache::BitstreamCache(std::size_t maxEntries)

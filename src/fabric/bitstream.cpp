@@ -3,19 +3,9 @@
 #include <cassert>
 #include <stdexcept>
 
-namespace vfpga {
+#include "util/hash.hpp"
 
-std::uint16_t crc16Bits(std::span<const std::uint8_t> bits) {
-  // CRC-16/CCITT-FALSE bit-at-a-time over the 0/1 byte stream.
-  std::uint16_t crc = 0xFFFF;
-  for (std::uint8_t b : bits) {
-    const std::uint16_t in = (b != 0) ? 1 : 0;
-    const std::uint16_t fb = ((crc >> 15) & 1) ^ in;
-    crc = static_cast<std::uint16_t>(crc << 1);
-    if (fb) crc ^= 0x1021;
-  }
-  return crc;
-}
+namespace vfpga {
 
 void Bitstream::sealCrc() {
   std::vector<std::uint8_t> all;

@@ -14,9 +14,6 @@
 
 namespace vfpga {
 
-/// CRC-16/CCITT over a bit sequence (used to detect corrupted downloads).
-std::uint16_t crc16Bits(std::span<const std::uint8_t> bits);
-
 class ConfigImage {
  public:
   ConfigImage() = default;

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/hash.hpp"
+
 namespace vfpga {
 
 SimDuration ConfigPort::downloadCost(const Bitstream& bs) const {

@@ -1,5 +1,7 @@
 #include "fault/recovery.hpp"
 
+#include "util/hash.hpp"
+
 namespace vfpga::fault {
 
 DownloadOutcome downloadWithRetry(ConfigPort& port, const Bitstream& bs,

@@ -3,21 +3,11 @@
 #include <algorithm>
 
 #include "fabric/device.hpp"
+#include "util/hash.hpp"
 
 namespace vfpga::compiled {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::uint32_t tapeSlot(const FabricProgram& p, const SignalSource& s) {
   switch (s.kind) {
@@ -33,16 +23,12 @@ std::uint32_t tapeSlot(const FabricProgram& p, const SignalSource& s) {
 std::uint64_t configDigest(const Device& dev) {
   const FabricGeometry& g = dev.geometry();
   std::uint64_t h = kFnvOffset;
-  h = fnv1a(h, static_cast<std::uint64_t>(g.rows));
-  h = fnv1a(h, static_cast<std::uint64_t>(g.cols));
-  h = fnv1a(h, static_cast<std::uint64_t>(g.lutInputs));
-  h = fnv1a(h, static_cast<std::uint64_t>(g.wiresPerChannel));
-  h = fnv1a(h, static_cast<std::uint64_t>(g.slotsPerPad));
-  for (std::uint8_t b : dev.image().raw()) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
+  h = fnv1aU64(h, static_cast<std::uint64_t>(g.rows));
+  h = fnv1aU64(h, static_cast<std::uint64_t>(g.cols));
+  h = fnv1aU64(h, static_cast<std::uint64_t>(g.lutInputs));
+  h = fnv1aU64(h, static_cast<std::uint64_t>(g.wiresPerChannel));
+  h = fnv1aU64(h, static_cast<std::uint64_t>(g.slotsPerPad));
+  return fnv1aBytes(h, dev.image().raw());
 }
 
 std::shared_ptr<const FabricProgram> levelizeDevice(Device& dev) {

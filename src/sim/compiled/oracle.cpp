@@ -10,17 +10,11 @@
 #include "fabric/device.hpp"
 #include "sim/compiled/batch.hpp"
 #include "sim/compiled/compiled_fabric.hpp"
+#include "util/hash.hpp"
 
 namespace vfpga::compiled {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Stimulus bit for (lane, cycle, input-slot position). Derived from the
 /// seed alone, so the scalar phases, the batch phase and the sampled-lane
@@ -40,13 +34,7 @@ struct Trace {
   std::vector<std::uint8_t> data;
   std::size_t stride = 0;  ///< bytes per cycle
 
-  std::uint64_t digest() const {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint8_t b : data) {
-      h = (h ^ b) * 0x100000001b3ull;
-    }
-    return h;
-  }
+  std::uint64_t digest() const { return fnv1aBytes(kFnvOffset, data); }
 };
 
 /// Fixed I/O shape of the configured image, captured once so every phase
