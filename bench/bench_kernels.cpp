@@ -1,7 +1,9 @@
-// K1-K3 — CAD-flow and simulator microbenchmarks (google-benchmark), plus
-// the negotiated-congestion vs greedy routing ablation from DESIGN.md §5.
+// K1-K3 — CAD-flow, simulator and equivalence-proof microbenchmarks
+// (google-benchmark), plus the negotiated-congestion vs greedy routing
+// ablation from DESIGN.md §5.
 #include <benchmark/benchmark.h>
 
+#include "analysis/equiv/verify.hpp"
 #include "compile/compiler.hpp"
 #include "compile/loaded_circuit.hpp"
 #include "fabric/device_family.hpp"
@@ -14,6 +16,8 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "techmap/lut_mapper.hpp"
+#include "workloads/app_circuits.hpp"
+#include "workloads/compile_suite.hpp"
 
 namespace {
 
@@ -179,6 +183,25 @@ void BM_Relocate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Relocate);
+
+// The proof ladder the OS runs after relocation, scrub repair and migration
+// resume: extract the configured strip and prove it equal to the source
+// netlist. mm_mac exercises register matching and the structural,
+// exhaustive and BDD rungs.
+void BM_CheckEquivalence(benchmark::State& state) {
+  const workloads::AppCircuit app = workloads::appCircuitByName("mm_mac");
+  Device dev = mediumPartialProfile().makeDevice();
+  Compiler compiler(dev);
+  const CompiledCircuit c = workloads::compileMinimal(compiler, app.netlist, 1);
+  dev.applyBitstream(c.fullBitstream());
+  for (auto _ : state) {
+    const analysis::equiv::ConfiguredCheck chk =
+        analysis::equiv::checkConfiguredAgainst(dev, c, app.netlist);
+    if (!chk.ok()) state.SkipWithError("mm_mac failed its proof");
+    benchmark::DoNotOptimize(chk.result.exhaustiveVectors);
+  }
+}
+BENCHMARK(BM_CheckEquivalence)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,8 +1,7 @@
 #include "analysis/equiv/check.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
+#include <bit>
 #include <sstream>
 #include <unordered_map>
 
@@ -87,6 +86,7 @@ class Side {
   struct Cone {
     GateId root = kNoGate;
     std::vector<GateId> topo;             ///< non-cut gates, eval order
+    std::vector<GateId> leaves;           ///< cut and constant gates read
     std::vector<std::uint32_t> support;   ///< sorted cut ids
     bool residue = false;                 ///< reaches an unmatched register
   };
@@ -103,10 +103,11 @@ class Side {
       const GateKind k = nl_->gate(g).kind;
       return k == GateKind::kConst0 || k == GateKind::kConst1;
     };
-    auto visitLeafOrPush = [&](GateId g) {
+    auto visit = [&](GateId g) {
       if (seen[g]) return;
+      seen[g] = 1;
       if (isLeaf(g)) {
-        seen[g] = 1;
+        c.leaves.push_back(g);
         if (cutOfGate_[g] != kNoCut) {
           c.support.push_back(static_cast<std::uint32_t>(cutOfGate_[g]));
         }
@@ -114,36 +115,17 @@ class Side {
       }
       const GateKind k = nl_->gate(g).kind;
       if (k == GateKind::kDff || k == GateKind::kInput) {
-        seen[g] = 1;
         c.residue = true;  // unmatched sequential/input leaf
         return;
       }
       stack.emplace_back(g, 0);
-      seen[g] = 1;
     };
-    visitLeafOrPush(root);
+    visit(root);
     while (!stack.empty()) {
       auto& [g, next] = stack.back();
       const Gate& gate = nl_->gate(g);
       if (next < gate.fanins.size()) {
-        const GateId f = gate.fanins[next++];
-        if (!seen[f]) {
-          if (isLeaf(f)) {
-            seen[f] = 1;
-            if (cutOfGate_[f] != kNoCut) {
-              c.support.push_back(static_cast<std::uint32_t>(cutOfGate_[f]));
-            }
-          } else {
-            const GateKind k = nl_->gate(f).kind;
-            if (k == GateKind::kDff || k == GateKind::kInput) {
-              seen[f] = 1;
-              c.residue = true;
-            } else {
-              stack.emplace_back(f, 0);
-              seen[f] = 1;
-            }
-          }
-        }
+        visit(gate.fanins[next++]);  // may grow `stack`; g, next now dead
       } else {
         c.topo.push_back(g);
         stack.pop_back();
@@ -155,58 +137,53 @@ class Side {
     return c;
   }
 
-  /// Evaluates a cone under a cut assignment. `cutValue(cutId)` supplies
-  /// the cut values; leaves not on a cut (constants) are fixed.
-  template <typename CutFn>
-  bool eval(const Cone& c, CutFn&& cutValue) {
-    // Seed leaf values the topo gates will read.
-    for (GateId g : c.topo) {
-      for (GateId f : nl_->gate(g).fanins) {
-        const std::int32_t cut = cutOfGate_[f];
-        if (cut != kNoCut) {
-          value_[f] = cutValue(static_cast<std::uint32_t>(cut)) ? 1 : 0;
-        } else {
-          const GateKind k = nl_->gate(f).kind;
-          if (k == GateKind::kConst0) value_[f] = 0;
-          if (k == GateKind::kConst1) value_[f] = 1;
-        }
-      }
-    }
-    {
-      const std::int32_t cut = cutOfGate_[c.root];
-      if (cut != kNoCut) return cutValue(static_cast<std::uint32_t>(cut));
-      const GateKind k = nl_->gate(c.root).kind;
-      if (k == GateKind::kConst0) return false;
-      if (k == GateKind::kConst1) return true;
+  /// Evaluates a cone over 64 cut assignments at once: lane l of
+  /// `cutWord(cutId)` is the cut's value in assignment l, and lane l of the
+  /// result is the root's value under it. Constant leaves are fixed.
+  template <typename CutWordFn>
+  std::uint64_t evalWord(const Cone& c, CutWordFn&& cutWord) {
+    for (GateId g : c.leaves) {
+      const std::int32_t cut = cutOfGate_[g];
+      value_[g] = cut != kNoCut ? cutWord(static_cast<std::uint32_t>(cut))
+                  : nl_->gate(g).kind == GateKind::kConst1 ? ~std::uint64_t{0}
+                                                           : 0;
     }
     for (GateId g : c.topo) {
       const Gate& gate = nl_->gate(g);
       const auto& f = gate.fanins;
-      bool v = false;
+      std::uint64_t v = 0;
       switch (gate.kind) {
         case GateKind::kBuf:
         case GateKind::kOutput: v = value_[f[0]]; break;
-        case GateKind::kNot: v = !value_[f[0]]; break;
-        case GateKind::kAnd: v = value_[f[0]] && value_[f[1]]; break;
-        case GateKind::kOr: v = value_[f[0]] || value_[f[1]]; break;
-        case GateKind::kXor: v = value_[f[0]] != value_[f[1]]; break;
-        case GateKind::kNand: v = !(value_[f[0]] && value_[f[1]]); break;
-        case GateKind::kNor: v = !(value_[f[0]] || value_[f[1]]); break;
-        case GateKind::kXnor: v = value_[f[0]] == value_[f[1]]; break;
+        case GateKind::kNot: v = ~value_[f[0]]; break;
+        case GateKind::kAnd: v = value_[f[0]] & value_[f[1]]; break;
+        case GateKind::kOr: v = value_[f[0]] | value_[f[1]]; break;
+        case GateKind::kXor: v = value_[f[0]] ^ value_[f[1]]; break;
+        case GateKind::kNand: v = ~(value_[f[0]] & value_[f[1]]); break;
+        case GateKind::kNor: v = ~(value_[f[0]] | value_[f[1]]); break;
+        case GateKind::kXnor: v = ~(value_[f[0]] ^ value_[f[1]]); break;
         case GateKind::kMux:
-          v = value_[f[0]] ? value_[f[2]] : value_[f[1]];
+          v = (value_[f[0]] & value_[f[2]]) | (~value_[f[0]] & value_[f[1]]);
           break;
-        default: v = false; break;  // cuts/consts never land in topo
+        default: v = 0; break;  // cuts/consts never land in topo
       }
-      value_[g] = v ? 1 : 0;
+      value_[g] = v;
     }
-    return value_[c.root] != 0;
+    return value_[c.root];
+  }
+
+  /// Evaluates a cone under one cut assignment (`cutValue(cutId)`).
+  template <typename CutFn>
+  bool eval(const Cone& c, CutFn&& cutValue) {
+    return (evalWord(c, [&](std::uint32_t cut) {
+              return cutValue(cut) ? ~std::uint64_t{0} : std::uint64_t{0};
+            }) & 1u) != 0;
   }
 
  private:
   const Netlist* nl_;
   std::vector<std::int32_t> cutOfGate_;
-  std::vector<char> value_;
+  std::vector<std::uint64_t> value_;
 };
 
 /// Builds the ROBDD of a cone over the shared support variable order
@@ -375,6 +352,18 @@ EquivResult checkEquivalence(const Netlist& golden, const Netlist& revised,
                           "' exists only in the golden design");
     }
   }
+  // Input gates in cut order (kNoGate where the name exists on one side
+  // only), resolved once so the lockstep simulations drive inputs by id.
+  std::vector<GateId> gInputGate, rInputGate;
+  for (const std::string& name : inputNames) {
+    gInputGate.push_back(golden.findInput(name));
+    rInputGate.push_back(revised.findInput(name));
+  }
+  auto driveInput = [&](Evaluator& ge, Evaluator& re, std::size_t k,
+                        bool v) {
+    if (gInputGate[k] != kNoGate) ge.setInput(gInputGate[k], v);
+    if (rInputGate[k] != kNoGate) re.setInput(rInputGate[k], v);
+  };
 
   // ---- register matching ---------------------------------------------------
   const auto gDffs = golden.dffs();
@@ -419,20 +408,22 @@ EquivResult checkEquivalence(const Netlist& golden, const Netlist& revised,
     ge.reset();
     re.reset();
     Rng rng(opt.seed ^ 0x5167u);
-    std::vector<std::uint64_t> gSig(gDffs.size(), 0), rSig(rDffs.size(), 0);
+    // Per-register state traces, one bit per recorded step of the current
+    // run: filled by the signature run, then refilled by every round.
+    std::vector<std::uint64_t> gTrace(gDffs.size(), 0);
+    std::vector<std::uint64_t> rTrace(rDffs.size(), 0);
+    auto recordState = [&](std::uint32_t t) {
+      for (std::size_t i = 0; i < gTrace.size(); ++i) {
+        gTrace[i] |= static_cast<std::uint64_t>(ge.stateBit(i)) << t;
+      }
+      for (std::size_t i = 0; i < rTrace.size(); ++i) {
+        rTrace[i] |= static_cast<std::uint64_t>(re.stateBit(i)) << t;
+      }
+    };
     for (std::uint32_t t = 0; t < cycles; ++t) {
-      const std::vector<bool> gs = ge.state();
-      const std::vector<bool> rs = re.state();
-      for (std::size_t i = 0; i < gs.size(); ++i) {
-        gSig[i] |= static_cast<std::uint64_t>(gs[i] ? 1 : 0) << t;
-      }
-      for (std::size_t i = 0; i < rs.size(); ++i) {
-        rSig[i] |= static_cast<std::uint64_t>(rs[i] ? 1 : 0) << t;
-      }
-      for (const std::string& name : inputNames) {
-        const bool v = rngBit(rng);
-        if (golden.findInput(name) != kNoGate) ge.setInput(name, v);
-        if (revised.findInput(name) != kNoGate) re.setInput(name, v);
+      recordState(t);
+      for (std::size_t k = 0; k < inputNames.size(); ++k) {
+        driveInput(ge, re, k, rngBit(rng));
       }
       ge.eval();
       re.eval();
@@ -440,35 +431,52 @@ EquivResult checkEquivalence(const Netlist& golden, const Netlist& revised,
       re.tick();
     }
 
-    // Initial classes: equal reset-run traces (bit 0 is the initial value,
-    // so members of one class always agree on dffInit). Map order makes
-    // the class order — and with it the whole match — deterministic.
+    // Classes are runs of `members`: class c is [bounds[c], bounds[c+1]).
     struct Member {
       int side;           ///< 0 = golden, 1 = revised
       std::uint32_t idx;  ///< DFF ordinal on that side
     };
-    std::vector<std::vector<Member>> classes;
-    {
-      std::map<std::uint64_t, std::vector<Member>> bySig;
-      for (std::uint32_t i = 0; i < gDffs.size(); ++i) {
-        if (!gPinned[i]) bySig[gSig[i]].push_back(Member{0, i});
-      }
-      for (std::uint32_t i = 0; i < rDffs.size(); ++i) {
-        if (!rPinned[i]) bySig[rSig[i]].push_back(Member{1, i});
-      }
-      for (auto& [sig, members] : bySig) classes.push_back(std::move(members));
+    std::vector<Member> members;
+    for (std::uint32_t i = 0; i < gDffs.size(); ++i) {
+      if (!gPinned[i]) members.push_back(Member{0, i});
     }
+    for (std::uint32_t i = 0; i < rDffs.size(); ++i) {
+      if (!rPinned[i]) members.push_back(Member{1, i});
+    }
+    std::vector<std::uint32_t> bounds{
+        0, static_cast<std::uint32_t>(members.size())};
+    std::vector<std::uint32_t> nextBounds;
+    // Splits every class by the members' current traces: ascending trace,
+    // members in their previous order within a part (a stable sort), so the
+    // class order, and with it the whole match, is deterministic.
+    auto splitClasses = [&] {
+      auto trace = [&](const Member& m) {
+        return m.side == 0 ? gTrace[m.idx] : rTrace[m.idx];
+      };
+      auto byTrace = [&](const Member& a, const Member& b) {
+        return trace(a) < trace(b);
+      };
+      nextBounds.assign(1, 0);
+      for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
+        const auto first = members.begin() + bounds[c];
+        const auto last = members.begin() + bounds[c + 1];
+        if (!std::is_sorted(first, last, byTrace)) {
+          std::stable_sort(first, last, byTrace);
+        }
+        for (auto it = first + 1; it < last; ++it) {
+          if (trace(*it) != trace(*(it - 1))) {
+            nextBounds.push_back(
+                static_cast<std::uint32_t>(it - members.begin()));
+          }
+        }
+        nextBounds.push_back(bounds[c + 1]);
+      }
+      bounds.swap(nextBounds);
+    };
+    // Initial classes: equal reset-run traces (bit 0 is the initial value,
+    // so members of one class always agree on dffInit).
+    splitClasses();
 
-    const std::vector<bool> gReset = [&] {
-      Evaluator e(golden);
-      e.reset();
-      return e.state();
-    }();
-    const std::vector<bool> rReset = [&] {
-      Evaluator e(revised);
-      e.reset();
-      return e.state();
-    }();
     // Each round writes a class-symmetric random state, picks a per-input
     // stimulus mode and simulates a short burst, splitting classes whose
     // members' state traces diverge. The *hold* modes matter: a counter
@@ -479,75 +487,53 @@ EquivResult checkEquivalence(const Netlist& golden, const Netlist& revised,
     // no-progress cutoff) gives the rare splitting corner time to appear.
     const std::uint32_t kRounds = 96;
     const std::uint32_t kBurst = 16;
+    // Stimulus mode per input: 0 = hold low, 1 = hold high, else random
+    // per step.
+    std::vector<std::uint32_t> mode(inputNames.size());
     for (std::uint32_t round = 0; round < kRounds; ++round) {
-      std::vector<bool> gState = gReset, rState = rReset;
+      ge.reset();
+      re.reset();
       // Pinned pairs join the stimulus too (shared bit per pair): their
       // values feed the logic that separates the unmatched residue.
       for (const FfPair& p : pairs) {
         const bool v = rngBit(rng);
-        gState[p.golden] = v;
-        rState[p.revised] = v;
+        ge.setStateBit(p.golden, v);
+        re.setStateBit(p.revised, v);
       }
-      for (const std::vector<Member>& cls : classes) {
+      for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
         const bool v = rngBit(rng);
-        for (const Member& m : cls) {
-          (m.side == 0 ? gState : rState)[m.idx] = v;
+        for (std::uint32_t k = bounds[c]; k < bounds[c + 1]; ++k) {
+          (members[k].side == 0 ? ge : re).setStateBit(members[k].idx, v);
         }
       }
-      ge.setState(gState);
-      re.setState(rState);
-      // Stimulus mode per input: 0 = hold low, 1 = hold high, else random
-      // per step.
-      std::vector<std::uint32_t> mode(inputNames.size());
       for (std::size_t k = 0; k < mode.size(); ++k) {
         mode[k] = (round % 2 == 0)
                       ? ((round / 2 >> (k % 5)) & 1u)
                       : static_cast<std::uint32_t>(rng.below(4));
       }
-      std::vector<std::uint64_t> gTrace(gDffs.size(), 0);
-      std::vector<std::uint64_t> rTrace(rDffs.size(), 0);
+      std::fill(gTrace.begin(), gTrace.end(), 0);
+      std::fill(rTrace.begin(), rTrace.end(), 0);
       for (std::uint32_t t = 0; t < kBurst; ++t) {
         for (std::size_t k = 0; k < inputNames.size(); ++k) {
-          const bool v =
-              mode[k] == 0 ? false : mode[k] == 1 ? true : rngBit(rng);
-          if (golden.findInput(inputNames[k]) != kNoGate) {
-            ge.setInput(inputNames[k], v);
-          }
-          if (revised.findInput(inputNames[k]) != kNoGate) {
-            re.setInput(inputNames[k], v);
-          }
+          driveInput(ge, re, k,
+                     mode[k] == 0 ? false : mode[k] == 1 ? true : rngBit(rng));
         }
         ge.eval();
         re.eval();
         ge.tick();
         re.tick();
-        const std::vector<bool> gs = ge.state();
-        const std::vector<bool> rs = re.state();
-        for (std::size_t i = 0; i < gs.size(); ++i) {
-          gTrace[i] |= static_cast<std::uint64_t>(gs[i] ? 1 : 0) << t;
-        }
-        for (std::size_t i = 0; i < rs.size(); ++i) {
-          rTrace[i] |= static_cast<std::uint64_t>(rs[i] ? 1 : 0) << t;
-        }
+        recordState(t);
       }
-      std::vector<std::vector<Member>> next;
-      for (const std::vector<Member>& cls : classes) {
-        std::map<std::uint64_t, std::vector<Member>> parts;
-        for (const Member& m : cls) {
-          parts[m.side == 0 ? gTrace[m.idx] : rTrace[m.idx]].push_back(m);
-        }
-        for (auto& [trace, members] : parts) {
-          next.push_back(std::move(members));
-        }
-      }
-      classes = std::move(next);
+      splitClasses();
     }
 
     // Pair golden and revised members inside each stable class, in ordinal
     // order; surplus members on either side stay residue.
-    for (const std::vector<Member>& cls : classes) {
+    for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
       std::vector<std::uint32_t> gm, rm;
-      for (const Member& m : cls) (m.side == 0 ? gm : rm).push_back(m.idx);
+      for (std::uint32_t k = bounds[c]; k < bounds[c + 1]; ++k) {
+        (members[k].side == 0 ? gm : rm).push_back(members[k].idx);
+      }
       for (std::size_t k = 0; k < std::min(gm.size(), rm.size()); ++k) {
         gPinned[gm[k]] = rPinned[rm[k]] = 1;
         pairs.push_back(FfPair{gm[k], rm[k]});
@@ -618,6 +604,13 @@ EquivResult checkEquivalence(const Netlist& golden, const Netlist& revised,
       res.residueGoldenFfs > 0 || res.residueRevisedFfs > 0;
   std::vector<const Endpoint*> residueOutputs;
   Rng coneRng(opt.seed ^ 0xc09e5u);
+  // Cut id -> bit position in the current endpoint's support. Entries of
+  // cuts outside that support are stale and never read.
+  std::vector<std::int32_t> posOfCut(ffCutBase + pairs.size(), -1);
+  // Supports past 63 cuts cannot be enumerated in a 64-bit assignment
+  // counter; they go to the BDD rung whatever the option says.
+  const std::uint32_t exhaustiveBound =
+      std::min<std::uint32_t>(opt.coneInputBound, 63);
 
   auto recordCx = [&](const Endpoint& ep, const Side::Cone& gc,
                       const Side::Cone& rc,
@@ -673,14 +666,8 @@ EquivResult checkEquivalence(const Netlist& golden, const Netlist& revised,
                rc.support.end(), std::back_inserter(support));
     support.erase(std::unique(support.begin(), support.end()), support.end());
     proof.supportSize = static_cast<std::uint32_t>(support.size());
-    std::vector<std::int32_t> posOfCut;  // cut id -> bit position in support
-    {
-      const std::uint32_t maxCut =
-          ffCutBase + static_cast<std::uint32_t>(pairs.size());
-      posOfCut.assign(maxCut, -1);
-      for (std::size_t b = 0; b < support.size(); ++b) {
-        posOfCut[support[b]] = static_cast<std::int32_t>(b);
-      }
+    for (std::size_t b = 0; b < support.size(); ++b) {
+      posOfCut[support[b]] = static_cast<std::int32_t>(b);
     }
 
     // 1. Cheap structural pass (identical-by-construction cones).
@@ -690,27 +677,39 @@ EquivResult checkEquivalence(const Netlist& golden, const Netlist& revised,
       res.proofs.push_back(std::move(proof));
       continue;
     }
-    // 2. Exhaustive truth-table proof over the union support.
-    if (support.size() <= opt.coneInputBound) {
+    // 2. Exhaustive truth-table proof over the union support, 64
+    //    consecutive assignments j per word: support position b < 6 is bit
+    //    b of the lane index, b >= 6 bit (b - 6) of the word index.
+    if (support.size() <= exhaustiveBound) {
       proof.method = ProofMethod::kExhaustive;
-      bool mismatched = false;
+      static constexpr std::uint64_t kLanePattern[6] = {
+          0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+          0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
       const std::uint64_t total = std::uint64_t{1} << support.size();
-      for (std::uint64_t j = 0; j < total; ++j) {
-        auto cutVal = [&](std::uint32_t cut) {
-          return ((j >> posOfCut[cut]) & 1u) != 0;
+      const std::uint64_t words = std::max<std::uint64_t>(total >> 6, 1);
+      const std::uint64_t laneMask =
+          total >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << total) - 1;
+      for (std::uint64_t w = 0; w < words; ++w) {
+        auto cutWord = [&](std::uint32_t cut) -> std::uint64_t {
+          const std::int32_t b = posOfCut[cut];
+          if (b < 6) return kLanePattern[b];
+          return ((w >> (b - 6)) & 1u) != 0 ? ~std::uint64_t{0} : 0;
         };
-        const bool gv = g.eval(gc, cutVal);
-        const bool rv = r.eval(rc, cutVal);
-        if (gv != rv) {
+        const std::uint64_t gw = g.evalWord(gc, cutWord);
+        const std::uint64_t rw = r.evalWord(rc, cutWord);
+        const std::uint64_t diff = (gw ^ rw) & laneMask;
+        if (diff != 0) {
+          // The lowest differing lane is the lowest mismatching j.
+          const int lane = std::countr_zero(diff);
           res.equivalent = false;
-          mismatched = true;
-          recordCx(ep, gc, rc, support, j, gv, rv);
+          recordCx(ep, gc, rc, support,
+                   (w << 6) | static_cast<std::uint64_t>(lane),
+                   ((gw >> lane) & 1u) != 0, ((rw >> lane) & 1u) != 0);
           break;
         }
       }
       res.exhaustiveVectors += total;
       ++res.conesExhaustive;
-      (void)mismatched;
       res.proofs.push_back(std::move(proof));
       continue;
     }
@@ -792,14 +791,19 @@ EquivResult checkEquivalence(const Netlist& golden, const Netlist& revised,
     ge.reset();
     re.reset();
     Rng rng(opt.seed ^ 0x5e9u);
+    std::vector<std::pair<GateId, GateId>> residueOutputGates;
+    for (const Endpoint* ep : residueOutputs) {
+      residueOutputGates.emplace_back(golden.findOutput(ep->name),
+                                      revised.findOutput(ep->name));
+    }
     std::vector<std::vector<bool>> history;
     for (std::uint32_t t = 0;
          t < opt.sequentialCycles && res.equivalent; ++t) {
       // Matched registers must track exactly from reset.
-      const std::vector<bool> gs = ge.state();
-      const std::vector<bool> rs = re.state();
       for (std::size_t k = 0; k < pairs.size(); ++k) {
-        if (gs[pairs[k].golden] == rs[pairs[k].revised]) continue;
+        const bool gv = ge.stateBit(pairs[k].golden);
+        const bool rv = re.stateBit(pairs[k].revised);
+        if (gv == rv) continue;
         res.equivalent = false;
         if (res.counterexamples.size() < opt.maxCounterexamples) {
           Counterexample cx;
@@ -811,8 +815,8 @@ EquivResult checkEquivalence(const Netlist& golden, const Netlist& revised,
           cx.inputOrder = inputNames;
           cx.inputSequence = history;
           cx.cycle = t;
-          cx.goldenValue = gs[pairs[k].golden];
-          cx.revisedValue = rs[pairs[k].revised];
+          cx.goldenValue = gv;
+          cx.revisedValue = rv;
           res.counterexamples.push_back(std::move(cx));
         }
         break;
@@ -822,25 +826,20 @@ EquivResult checkEquivalence(const Netlist& golden, const Netlist& revised,
       std::vector<bool> vec(inputNames.size(), false);
       for (std::size_t i = 0; i < inputNames.size(); ++i) {
         vec[i] = rngBit(rng);
-        if (golden.findInput(inputNames[i]) != kNoGate) {
-          ge.setInput(inputNames[i], vec[i]);
-        }
-        if (revised.findInput(inputNames[i]) != kNoGate) {
-          re.setInput(inputNames[i], vec[i]);
-        }
+        driveInput(ge, re, i, vec[i]);
       }
-      history.push_back(vec);
+      history.push_back(std::move(vec));
       ge.eval();
       re.eval();
-      for (const Endpoint* ep : residueOutputs) {
-        const bool gv = ge.output(ep->name);
-        const bool rv = re.output(ep->name);
+      for (std::size_t o = 0; o < residueOutputs.size(); ++o) {
+        const bool gv = ge.value(residueOutputGates[o].first);
+        const bool rv = re.value(residueOutputGates[o].second);
         if (gv == rv) continue;
         res.equivalent = false;
         if (res.counterexamples.size() < opt.maxCounterexamples) {
           Counterexample cx;
           cx.sequential = true;
-          cx.endpoint = ep->name;
+          cx.endpoint = residueOutputs[o]->name;
           cx.inputOrder = inputNames;
           cx.inputSequence = history;
           cx.cycle = t;

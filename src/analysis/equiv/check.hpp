@@ -9,8 +9,9 @@
 // an endpoint whose combinational cone over the cut points must be proven
 // equal on both sides:
 //   1. by memoized structural equivalence (commutative-input normalizing);
-//   2. exhaustively (all 2^n cut assignments) when the union support has
-//      at most `coneInputBound` cut points;
+//   2. exhaustively (all 2^n cut assignments, 64 per word, keeping the
+//      lowest mismatching one) when the union support has at most
+//      `coneInputBound` cut points;
 //   3. by canonical ROBDD comparison (analysis/equiv/bdd.hpp) for wider
 //      cones — still a complete proof, with a satisfying assignment of the
 //      XOR as the counterexample on mismatch;
@@ -37,7 +38,8 @@
 namespace vfpga::analysis::equiv {
 
 struct EquivOptions {
-  /// Max union-support size for exhaustive cone proofs (2^k assignments).
+  /// Max union-support size for exhaustive cone proofs (2^k assignments);
+  /// clamped to 63, so wider cones always go to the BDD rung.
   std::uint32_t coneInputBound = 16;
   /// ROBDD node budget for wide-cone proofs; overflow falls back to the
   /// random-simulation oracle instead of failing the check.

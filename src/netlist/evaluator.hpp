@@ -42,6 +42,9 @@ class Evaluator {
   /// state save/restore tests).
   std::vector<bool> state() const;
   void setState(const std::vector<bool>& bits);
+  /// One FF by dff ordinal, without copying the whole state.
+  bool stateBit(std::size_t ff) const { return ffState_[ff] != 0; }
+  void setStateBit(std::size_t ff, bool v) { ffState_[ff] = v ? 1 : 0; }
 
   /// Resets all DFFs to their declared init values.
   void reset();

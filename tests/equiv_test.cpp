@@ -7,6 +7,7 @@
 // lint rules and the verifyConfiguredOrThrow invariant form.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -392,6 +393,167 @@ TEST(Checker, UnmatchedRegisterResidueFindsSequentialCounterexample) {
   EXPECT_FALSE(res.equivalent);
   ASSERT_FALSE(res.counterexamples.empty());
   EXPECT_TRUE(res.counterexamples[0].sequential);
+  EXPECT_TRUE(replayCounterexample(golden, revised, res.counterexamples[0]))
+      << res.counterexamples[0].render();
+}
+
+// ---- word-wide exhaustive rung ---------------------------------------------
+
+/// Adds inputs x0..x{k-1}. They are the only cuts of a combinational
+/// netlist, so input i is support position i: assignment j sets x_i to
+/// bit i of j.
+std::vector<GateId> addInputs(Netlist& nl, std::uint32_t k) {
+  std::vector<GateId> ins;
+  for (std::uint32_t i = 0; i < k; ++i) {
+    ins.push_back(nl.addInput("x" + std::to_string(i)));
+  }
+  return ins;
+}
+
+/// XOR of `ins` as a left-folded chain (constant 0 for no inputs).
+GateId parity(Netlist& nl, const std::vector<GateId>& ins) {
+  if (ins.empty()) return nl.constant(false);
+  GateId acc = ins[0];
+  for (std::size_t i = 1; i < ins.size(); ++i) {
+    acc = nl.addGate(GateKind::kXor, {acc, ins[i]});
+  }
+  return acc;
+}
+
+/// 1 exactly on the assignments j in `planted`.
+GateId minterms(Netlist& nl, const std::vector<GateId>& ins,
+                const std::vector<std::uint64_t>& planted) {
+  GateId any = nl.constant(false);
+  for (std::uint64_t j : planted) {
+    GateId term = nl.constant(true);
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      const GateId lit = ((j >> i) & 1u) != 0
+                             ? ins[i]
+                             : nl.addGate(GateKind::kNot, {ins[i]});
+      term = nl.addGate(GateKind::kAnd, {term, lit});
+    }
+    any = nl.addGate(GateKind::kOr, {any, term});
+  }
+  return any;
+}
+
+/// golden: out = parity(x). revised: the same function built differently
+/// (x0 doubly inverted, or NOT(1) for no inputs) so the structural pass
+/// cannot prove it, XORed with a detector of the `planted` assignments.
+std::pair<Netlist, Netlist> parityPair(
+    std::uint32_t k, const std::vector<std::uint64_t>& planted) {
+  Netlist golden("parity");
+  golden.addOutput("out", parity(golden, addInputs(golden, k)));
+  Netlist revised("parity_planted");
+  std::vector<GateId> ins = addInputs(revised, k);
+  std::vector<GateId> chain = ins;
+  GateId out = 0;
+  if (k == 0) {
+    out = revised.addGate(GateKind::kNot, {revised.constant(true)});
+  } else {
+    chain[0] = revised.addGate(
+        GateKind::kNot, {revised.addGate(GateKind::kNot, {ins[0]})});
+    out = parity(revised, chain);
+  }
+  if (!planted.empty()) {
+    out = revised.addGate(GateKind::kXor,
+                          {out, minterms(revised, ins, planted)});
+  }
+  revised.addOutput("out", out);
+  return {std::move(golden), std::move(revised)};
+}
+
+/// The assignment index a combinational counterexample over x0..x{k-1}
+/// encodes.
+std::uint64_t assignmentOf(const analysis::equiv::Counterexample& cx) {
+  std::uint64_t j = 0;
+  for (const auto& [name, v] : cx.inputs) {
+    if (v) j |= std::uint64_t{1} << std::stoul(name.substr(1));
+  }
+  return j;
+}
+
+TEST(ExhaustiveRung, EnumeratesEveryAssignmentOfEquivalentCones) {
+  for (std::uint32_t k : {0u, 1u, 5u, 6u, 7u, 16u}) {
+    const auto [golden, revised] = parityPair(k, {});
+    const auto res = analysis::equiv::checkEquivalence(golden, revised);
+    EXPECT_TRUE(res.equivalent) << "k=" << k << ": " << res.summary();
+    EXPECT_TRUE(res.fullyProven) << "k=" << k;
+    EXPECT_EQ(res.conesExhaustive, 1u) << "k=" << k;
+    EXPECT_EQ(res.exhaustiveVectors, std::uint64_t{1} << k) << "k=" << k;
+    ASSERT_EQ(res.proofs.size(), 1u);
+    EXPECT_EQ(res.proofs[0].supportSize, k);
+  }
+}
+
+TEST(ExhaustiveRung, PlantedMismatchYieldsLowestReplayableAssignment) {
+  struct Case {
+    std::uint32_t k;
+    std::vector<std::uint64_t> planted;  ///< lowest first
+  };
+  const std::vector<Case> cases = {
+      {0, {0}},
+      {1, {1}},
+      {5, {31}},              // j = 2^k - 1 inside a masked word
+      {6, {63}},              // lane 63, and j = 2^k - 1
+      {7, {63, 64, 127}},     // lane 63 of the first word
+      {7, {64, 127}},         // first lane of the second word
+      {7, {127}},             // j = 2^k - 1
+      {16, {63, 40000}},      // lane 63 ahead of a later word
+      {16, {64, 65535}},      // first lane of the second word
+      {16, {65535}},          // j = 2^k - 1, the last of 1024 words
+  };
+  for (const Case& c : cases) {
+    const auto [golden, revised] = parityPair(c.k, c.planted);
+    const auto res = analysis::equiv::checkEquivalence(golden, revised);
+    const std::string where = "k=" + std::to_string(c.k) + " lowest j=" +
+                              std::to_string(c.planted[0]);
+    EXPECT_FALSE(res.equivalent) << where;
+    EXPECT_EQ(res.conesExhaustive, 1u) << where;
+    EXPECT_EQ(res.exhaustiveVectors, std::uint64_t{1} << c.k) << where;
+    ASSERT_EQ(res.counterexamples.size(), 1u) << where;
+    const auto& cx = res.counterexamples[0];
+    EXPECT_FALSE(cx.sequential) << where;
+    EXPECT_EQ(cx.inputs.size(), c.k) << where;
+    EXPECT_EQ(assignmentOf(cx), c.planted[0]) << where << ": " << cx.render();
+    EXPECT_EQ(cx.goldenValue, std::popcount(c.planted[0]) % 2 == 1) << where;
+    EXPECT_TRUE(replayCounterexample(golden, revised, cx))
+        << where << ": " << cx.render();
+  }
+}
+
+TEST(ExhaustiveRung, BoundPast63CutsFallsToBddInsteadOfFalseProof) {
+  // 64 cuts cannot be enumerated with a 64-bit assignment counter: the
+  // bound clamps to 63 and the cone goes to the BDD rung, which finds the
+  // single differing assignment (all ones).
+  Netlist golden("and64");
+  Netlist revised("and64_last_inverted");
+  {
+    const std::vector<GateId> ins = addInputs(golden, 64);
+    GateId acc = ins[0];
+    for (std::size_t i = 1; i < ins.size(); ++i) {
+      acc = golden.addGate(GateKind::kAnd, {acc, ins[i]});
+    }
+    golden.addOutput("out", acc);
+  }
+  {
+    const std::vector<GateId> ins = addInputs(revised, 64);
+    GateId acc = ins[0];
+    for (std::size_t i = 1; i + 1 < ins.size(); ++i) {
+      acc = revised.addGate(GateKind::kAnd, {acc, ins[i]});
+    }
+    acc = revised.addGate(
+        GateKind::kAnd, {acc, revised.addGate(GateKind::kNot, {ins[63]})});
+    revised.addOutput("out", acc);
+  }
+  analysis::equiv::EquivOptions opt;
+  opt.coneInputBound = 64;
+  const auto res = analysis::equiv::checkEquivalence(golden, revised, opt);
+  EXPECT_FALSE(res.equivalent) << res.summary();
+  EXPECT_EQ(res.conesExhaustive, 0u);
+  EXPECT_EQ(res.exhaustiveVectors, 0u);
+  EXPECT_EQ(res.conesBdd, 1u);
+  ASSERT_EQ(res.counterexamples.size(), 1u) << res.summary();
   EXPECT_TRUE(replayCounterexample(golden, revised, res.counterexamples[0]))
       << res.counterexamples[0].render();
 }
