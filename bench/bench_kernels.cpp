@@ -136,6 +136,32 @@ void BM_DeviceElaboration(benchmark::State& state) {
 }
 BENCHMARK(BM_DeviceElaboration);
 
+// The OS's register path after a download: a partial bitstream of a
+// relocated circuit into the strip next to a resident one, then the
+// loader's initial-state write and a state save. Register access by CLB
+// site needs no elaborated device, so nothing here rebuilds it.
+void BM_PartialDownloadWithState(benchmark::State& state) {
+  DeviceProfile prof = mediumPartialProfile();
+  Device dev = prof.makeDevice();
+  Compiler compiler(dev);
+  const CompiledCircuit resident =
+      compiler.compile(lib::makeParallelCrc(16, 0x1021, 8),
+                       Region::columns(dev.geometry(), 0, 8));
+  const CompiledCircuit moved = compiler.relocate(
+      compiler.compile(lib::makeSerialCrc(8, 0x07),
+                       Region::columns(dev.geometry(), 0, 4)),
+      8);
+  dev.applyBitstream(resident.fullBitstream());
+  const Bitstream bs = moved.partialBitstream();
+  LoadedCircuit lc(dev, moved);
+  for (auto _ : state) {
+    dev.applyBitstream(bs);  // invalidates the elaboration
+    lc.applyInitialState();
+    benchmark::DoNotOptimize(lc.saveState());
+  }
+}
+BENCHMARK(BM_PartialDownloadWithState);
+
 void BM_DeviceEvaluateTick(benchmark::State& state) {
   DeviceProfile prof = mediumPartialProfile();
   Device dev = prof.makeDevice();

@@ -11,7 +11,7 @@ Device::Device(const FabricGeometry& g, DeviceTiming timing,
                std::uint32_t frameBits)
     : rrg_(g), map_(rrg_, frameBits), timing_(timing),
       image_(map_.totalBits()), padInput_(g.padSlotCount(), 0),
-      padOutput_(g.padSlotCount(), 0) {}
+      padOutput_(g.padSlotCount(), 0), ffSite_(g.clbCount(), 0) {}
 
 void Device::setConfigBit(std::uint32_t bit, bool v) {
   image_.set(bit, v);
@@ -92,18 +92,6 @@ SignalSource Device::traceSource(RRNodeId sink,
 
 void Device::rebuildElaboration() {
   const FabricGeometry& g = rrg_.geometry();
-  // Registers physically keep their values across reconfiguration of other
-  // frames (that is what makes partial reconfiguration of one partition
-  // safe for its neighbours): capture FF values by CLB coordinate and
-  // re-apply them to CLBs that are still FF cells afterwards. Newly loaded
-  // circuits are explicitly initialized by their loader.
-  std::vector<std::int8_t> oldFf(g.clbCount(), -1);
-  for (const auto& cell : elab_.cells) {
-    if (cell.useFf) {
-      oldFf[static_cast<std::size_t>(cell.y) * g.cols + cell.x] =
-          ffState_.empty() ? 0 : ffState_[cell.ffIndex];
-    }
-  }
   elab_ = Elaboration{};
   std::vector<std::string>& faults = elab_.faults;
 
@@ -225,16 +213,18 @@ void Device::rebuildElaboration() {
     faults.push_back("combinational loop through routing");
   }
 
-  // Reset runtime value storage to match the new design, carrying over the
-  // per-coordinate FF values captured above.
+  // Reset runtime value storage to match the new design. Registers keep
+  // their values across reconfiguration of other frames (that is what makes
+  // partial reconfiguration of one partition safe for its neighbours), so
+  // only sites that are no longer FF cells are zeroed; loaders initialize
+  // the FFs of the circuits they download.
   cellValue_.assign(nc, 0);
   cellLutOut_.assign(nc, 0);
-  ffState_.assign(elab_.ffCount, 0);
-  for (const auto& cell : elab_.cells) {
-    if (!cell.useFf) continue;
-    const std::int8_t prev =
-        oldFf[static_cast<std::size_t>(cell.y) * g.cols + cell.x];
-    if (prev >= 0) ffState_[cell.ffIndex] = static_cast<std::uint8_t>(prev);
+  for (std::size_t site = 0; site < ffSite_.size(); ++site) {
+    const std::int32_t ci = cellOfClb[site];
+    if (ci < 0 || !elab_.cells[static_cast<std::size_t>(ci)].useFf) {
+      ffSite_[site] = 0;
+    }
   }
   std::fill(padOutput_.begin(), padOutput_.end(), 0);
   cycles_ = 0;
@@ -286,7 +276,7 @@ void Device::evaluate() {
   const Elaboration& e = elaboration();
   // FF cell outputs come from state; comb cells are computed in order.
   for (std::uint32_t ci = 0; ci < e.cells.size(); ++ci) {
-    if (e.cells[ci].useFf) cellValue_[ci] = ffState_[e.cells[ci].ffIndex];
+    if (e.cells[ci].useFf) cellValue_[ci] = ffSite_[siteOf(e.cells[ci])];
   }
   auto lutEval = [&](const Elaboration::Cell& cell) {
     std::uint32_t idx = 0;
@@ -326,59 +316,54 @@ void Device::tick() {
   const Elaboration& e = elaboration();
   for (std::uint32_t ci = 0; ci < e.cells.size(); ++ci) {
     if (!e.cells[ci].useFf) continue;
-    if (probe_ != nullptr && cellLutOut_[ci] != ffState_[e.cells[ci].ffIndex]) {
-      probe_->noteToggle(ci);
-    }
-    ffState_[e.cells[ci].ffIndex] = cellLutOut_[ci];
+    std::uint8_t& ff = ffSite_[siteOf(e.cells[ci])];
+    if (probe_ != nullptr && cellLutOut_[ci] != ff) probe_->noteToggle(ci);
+    ff = cellLutOut_[ci];
   }
   ++cycles_;
   if (probe_ != nullptr) probe_->noteCycle();
 }
 
 std::vector<bool> Device::ffState() {
-  (void)elaboration();
-  return {ffState_.begin(), ffState_.end()};
+  const Elaboration& e = elaboration();
+  std::vector<bool> state(e.ffCount);
+  for (const auto& cell : e.cells) {
+    if (cell.useFf) state[cell.ffIndex] = ffSite_[siteOf(cell)] != 0;
+  }
+  return state;
 }
 
 void Device::setFfState(const std::vector<bool>& state) {
-  (void)elaboration();
-  if (state.size() != ffState_.size()) {
+  const Elaboration& e = elaboration();
+  if (state.size() != e.ffCount) {
     throw std::invalid_argument("FF state size mismatch");
   }
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    ffState_[i] = state[i] ? 1 : 0;
+  for (const auto& cell : e.cells) {
+    if (cell.useFf) ffSite_[siteOf(cell)] = state[cell.ffIndex] ? 1 : 0;
   }
 }
 
-namespace {
-
-std::uint32_t ffIndexAt(const Elaboration& e, const FabricGeometry& g, int x,
-                        int y) {
+std::size_t Device::ffSiteAt(int x, int y) const {
+  const FabricGeometry& g = rrg_.geometry();
   if (!g.validClb(x, y)) throw std::out_of_range("CLB coordinate");
-  const std::int32_t cell =
-      e.cellOfClb[static_cast<std::size_t>(y) * g.cols +
-                  static_cast<std::size_t>(x)];
-  if (cell < 0 || !e.cells[static_cast<std::size_t>(cell)].useFf) {
+  if (!image_.get(map_.clbEnableBit(x, y)) ||
+      !image_.get(map_.clbFfEnableBit(x, y))) {
     throw std::logic_error("CLB is not an enabled FF cell");
   }
-  return e.cells[static_cast<std::size_t>(cell)].ffIndex;
+  return static_cast<std::size_t>(y) * g.cols + static_cast<std::size_t>(x);
 }
 
-}  // namespace
-
-bool Device::ffStateAt(int x, int y) {
-  const Elaboration& e = elaboration();
-  return ffState_[ffIndexAt(e, rrg_.geometry(), x, y)] != 0;
+bool Device::ffStateAt(int x, int y) const {
+  return ffSite_[ffSiteAt(x, y)] != 0;
 }
 
 void Device::setFfStateAt(int x, int y, bool v) {
-  const Elaboration& e = elaboration();
-  ffState_[ffIndexAt(e, rrg_.geometry(), x, y)] = v ? 1 : 0;
+  ffSite_[ffSiteAt(x, y)] = v ? 1 : 0;
 }
 
 void Device::resetFfs() {
   (void)elaboration();
-  std::fill(ffState_.begin(), ffState_.end(), 0);
+  std::fill(ffSite_.begin(), ffSite_.end(), 0);
 }
 
 SimDuration Device::criticalPathDelay() {

@@ -12,8 +12,10 @@
 // FF state is externally observable and controllable (ffState/setFfState),
 // modelling the readback/scan capability the paper requires of circuits
 // that the OS may preempt ("the internal state ... must be observable ...
-// and controllable", §3). The *cost* of that access is charged by
-// ConfigPort, not here.
+// and controllable", §3). It is stored per CLB site, so reading or writing
+// one register (ffStateAt/setFfStateAt) checks the image's enable bits and
+// never elaborates: a download followed by a state restore costs no
+// rebuild. The *cost* of that access is charged by ConfigPort, not here.
 #pragma once
 
 #include <cstdint>
@@ -140,11 +142,12 @@ class Device {
   std::size_t ffCount() { return elaboration().ffCount; }
   std::vector<bool> ffState();
   void setFfState(const std::vector<bool>& state);
-  /// Per-CLB state access (readback by coordinate): valid only for an
-  /// enabled CLB in FF mode. Unlike the dense ffState() vector these are
-  /// stable when *other* circuits come and go on the same device, which is
-  /// what partition-level state save/restore needs.
-  bool ffStateAt(int x, int y);
+  /// Per-CLB state access (readback by coordinate): valid only for a CLB
+  /// the image enables in FF mode. Unlike the dense ffState() vector these
+  /// are stable when *other* circuits come and go on the same device, which
+  /// is what partition-level state save/restore needs, and they never
+  /// elaborate.
+  bool ffStateAt(int x, int y) const;
   void setFfStateAt(int x, int y, bool v);
   /// Resets all FFs to zero (power-on state).
   void resetFfs();
@@ -167,7 +170,7 @@ class Device {
   std::vector<std::uint8_t> padOutput_;  // computed values per slot
   std::vector<std::uint8_t> cellValue_;  // current output value per cell
   std::vector<std::uint8_t> cellLutOut_; // LUT output per cell (pre-FF)
-  std::vector<std::uint8_t> ffState_;    // per dense FF index
+  std::vector<std::uint8_t> ffSite_;     // FF state per CLB (y * cols + x)
   std::uint64_t cycles_ = 0;
   ActivityProbe* probe_ = nullptr;
   FastPathKernel* fast_ = nullptr;
@@ -175,7 +178,7 @@ class Device {
   std::uint64_t configGen_ = 0;
 
   // The compiled engine operates directly on the arrays above (tape-driven
-  // stores into cellValue_/cellLutOut_/ffState_/padOutput_), keeping
+  // stores into cellValue_/cellLutOut_/ffSite_/padOutput_), keeping
   // readback, migration and probe hand-off coherent with the interpreter.
   friend class compiled::CompiledFabric;
 
@@ -185,6 +188,10 @@ class Device {
                            const std::vector<RREdgeId>& driverEdge,
                            std::vector<std::string>& faults) const;
   bool sourceValue(const SignalSource& s) const;
+  std::size_t siteOf(const Elaboration::Cell& cell) const {
+    return static_cast<std::size_t>(cell.y) * rrg_.geometry().cols + cell.x;
+  }
+  std::size_t ffSiteAt(int x, int y) const;
 };
 
 }  // namespace vfpga

@@ -48,20 +48,22 @@ bool CompiledFabric::evaluate() {
   const FabricProgram& p = *program_;
   std::uint8_t* tape = tape_.data();
   const std::uint8_t* padIn = dev_->padInput_.data();
-  const std::uint8_t* ffState = dev_->ffState_.data();
+  const std::uint8_t* ffSite = dev_->ffSite_.data();
   std::uint8_t* cellValue = dev_->cellValue_.data();
   std::uint8_t* cellLutOut = dev_->cellLutOut_.data();
   std::uint8_t* padOut = dev_->padOutput_.data();
 
   // Sync-in: pad inputs and registered outputs enter the tape; FF cell
-  // values mirror into cellValue_ exactly as the interpreter publishes
-  // them (state is read fresh every settle, so external FF writes —
-  // restoreState, migration resume, setFfStateAt — take effect at once).
+  // values are read from the device's per-site register store and mirror
+  // into cellValue_ exactly as the interpreter publishes them. State is
+  // read fresh every settle, so external FF writes (restoreState,
+  // migration resume, setFfStateAt, none of which elaborate) take effect
+  // at once.
   for (std::uint32_t s : p.inputSlots) {
     tape[p.padBase + s] = padIn[s] & 1;
   }
   for (const FabricProgram::FfBind& fb : p.ffs) {
-    const std::uint8_t v = ffState[fb.ffIndex] & 1;
+    const std::uint8_t v = ffSite[fb.site] & 1;
     tape[p.cellBase + fb.cell] = v;
     cellValue[fb.cell] = v;
   }
@@ -109,9 +111,9 @@ bool CompiledFabric::evaluate() {
 bool CompiledFabric::tick() {
   if (!ensureProgram()) return false;
   const std::uint8_t* lutOut = dev_->cellLutOut_.data();
-  std::uint8_t* ffState = dev_->ffState_.data();
+  std::uint8_t* ffSite = dev_->ffSite_.data();
   for (const FabricProgram::FfBind& fb : program_->ffs) {
-    ffState[fb.ffIndex] = lutOut[fb.cell];
+    ffSite[fb.site] = lutOut[fb.cell];
   }
   ++dev_->cycles_;
   ++stats_.compiledTicks;

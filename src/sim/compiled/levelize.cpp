@@ -86,7 +86,8 @@ std::shared_ptr<const FabricProgram> levelizeDevice(Device& dev) {
   for (std::uint32_t ci = 0; ci < cells; ++ci) {
     const Elaboration::Cell& cell = e.cells[ci];
     if (cell.useFf) {
-      p.ffs.push_back({ci, cell.ffIndex});
+      p.ffs.push_back({ci, cell.ffIndex,
+                       static_cast<std::uint32_t>(cell.y) * g.cols + cell.x});
       continue;
     }
     byLevel[level[ci]].push_back(ci);

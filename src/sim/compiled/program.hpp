@@ -49,7 +49,8 @@ struct FabricProgram {
   };
   struct FfBind {
     std::uint32_t cell = 0;     ///< device cell index of the FF cell
-    std::uint32_t ffIndex = 0;  ///< dense FF index
+    std::uint32_t ffIndex = 0;  ///< dense FF index (batch state order)
+    std::uint32_t site = 0;     ///< CLB site (y * cols + x) of its state
   };
   struct PadBind {
     std::uint32_t slot = 0;  ///< dense pad-slot index

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "compile/compiler.hpp"
+#include "compile/loaded_circuit.hpp"
 #include "fabric/bitstream.hpp"
 #include "fabric/config_map.hpp"
 #include "fabric/config_port.hpp"
 #include "fabric/device.hpp"
 #include "fabric/device_family.hpp"
 #include "fabric/routing_graph.hpp"
+#include "netlist/library/coding.hpp"
+#include "netlist/library/control.hpp"
 
 namespace vfpga {
 namespace {
@@ -411,6 +416,83 @@ TEST(Device, FfStateRoundTripThroughRegisteredCell) {
   dev.resetFfs();
   dev.evaluate();
   EXPECT_FALSE(dev.padSlotOutput(outSlot));
+}
+
+// Registers live per CLB site, so reading or writing one never elaborates
+// the device: after a partial download into another strip, register
+// writes leave the cycle count alone (a rebuild resets it to 0), and the
+// next rebuild keeps every register that is still an FF cell.
+TEST(Device, FfStateAtNeverElaborates) {
+  Device dev = mediumPartialProfile().makeDevice();
+  Compiler compiler(dev);
+  const CompiledCircuit a = compiler.compile(
+      lib::makeCounter(6), Region::columns(dev.geometry(), 0, 6));
+  const CompiledCircuit b = compiler.relocate(
+      compiler.compile(lib::makeLfsr(8, 0b10111000),
+                       Region::columns(dev.geometry(), 0, 6)),
+      6);
+  ASSERT_GT(a.ffCount(), 0u);
+  ASSERT_GT(b.ffCount(), 0u);
+
+  dev.applyBitstream(a.partialBitstream());
+  LoadedCircuit la(dev, a);
+  la.applyInitialState();
+  la.setInput("en", true);
+  la.setInput("clr", false);
+  for (int i = 0; i < 3; ++i) {
+    la.evaluate();
+    la.tick();
+  }
+  ASSERT_EQ(dev.cyclesTicked(), 3u);
+
+  dev.applyBitstream(b.partialBitstream());
+  LoadedCircuit lb(dev, b);
+  lb.applyInitialState();
+  std::vector<bool> stateA = la.saveState();
+  for (std::size_t i = 0; i < stateA.size(); ++i) {
+    const CellSite& s = a.ffSites[i];
+    stateA[i] = !dev.ffStateAt(s.x, s.y);
+    dev.setFfStateAt(s.x, s.y, stateA[i]);
+    EXPECT_EQ(dev.ffStateAt(s.x, s.y), stateA[i]);
+  }
+  std::vector<bool> stateB(b.ffCount());
+  for (std::size_t i = 0; i < stateB.size(); ++i) stateB[i] = i % 3 == 0;
+  lb.restoreState(stateB);
+  EXPECT_EQ(dev.cyclesTicked(), 3u) << "a register access rebuilt the device";
+
+  dev.evaluate();  // the rebuild happens here
+  EXPECT_EQ(dev.cyclesTicked(), 0u);
+  EXPECT_EQ(la.saveState(), stateA);
+  EXPECT_EQ(lb.saveState(), stateB);
+
+  // Turning an FF off and on again between rebuilds keeps its value; a
+  // rebuild while it is not an FF cell zeroes it.
+  const ConfigMap& map = dev.configMap();
+  const CellSite s = a.ffSites.front();
+  dev.setFfStateAt(s.x, s.y, true);
+  dev.setConfigBit(map.clbFfEnableBit(s.x, s.y), false);
+  EXPECT_THROW((void)dev.ffStateAt(s.x, s.y), std::logic_error);
+  dev.setConfigBit(map.clbFfEnableBit(s.x, s.y), true);
+  EXPECT_TRUE(dev.ffStateAt(s.x, s.y));
+  dev.setConfigBit(map.clbFfEnableBit(s.x, s.y), false);
+  (void)dev.elaboration();
+  dev.setConfigBit(map.clbFfEnableBit(s.x, s.y), true);
+  EXPECT_FALSE(dev.ffStateAt(s.x, s.y));
+
+  // A combinational cell and a disabled CLB are not FF cells; a bad
+  // coordinate is out of range.
+  const Elaboration& e = dev.elaboration();
+  const auto comb = std::find_if(e.cells.begin(), e.cells.end(),
+                                 [](const auto& c) { return !c.useFf; });
+  ASSERT_NE(comb, e.cells.end());
+  EXPECT_THROW((void)dev.ffStateAt(comb->x, comb->y), std::logic_error);
+  EXPECT_THROW(dev.setFfStateAt(comb->x, comb->y, true), std::logic_error);
+  dev.setConfigBit(map.clbEnableBit(s.x, s.y), false);
+  EXPECT_THROW((void)dev.ffStateAt(s.x, s.y), std::logic_error);
+  const FabricGeometry& g = dev.geometry();
+  EXPECT_THROW((void)dev.ffStateAt(-1, 0), std::out_of_range);
+  EXPECT_THROW(dev.setFfStateAt(g.cols, 0, true), std::out_of_range);
+  EXPECT_THROW((void)dev.ffStateAt(0, g.rows), std::out_of_range);
 }
 
 TEST(ConfigPort, CostsMatchSpecArithmetic) {
