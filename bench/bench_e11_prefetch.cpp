@@ -38,6 +38,7 @@ int main() {
   DeviceProfile prof = mediumPartialProfile();
   const std::size_t kConfigs = 3;
   const std::size_t kCalls = 300;
+  BenchJson json("e11_prefetch");
 
   tableHeader("E11", "prefetching vs demand loading "
                      "(300 activations, 3 configs, round-robin + noise)");
@@ -92,12 +93,24 @@ int main() {
         hitRate = loader.hitRate();
       }
 
+      const double speedup =
+          double(demandStall) /
+          double(std::max<SimDuration>(prefetchStall, 1));
       std::printf("%-8.1f %9.0fms | %12.2f | %12.2f %9.0f%% %9.2fx\n", noise,
                   toMilliseconds(computePerCall),
                   toMilliseconds(demandStall), toMilliseconds(prefetchStall),
-                  100 * hitRate,
-                  double(demandStall) / double(std::max<SimDuration>(
-                                            prefetchStall, 1)));
+                  100 * hitRate, speedup);
+      char noiseLabel[8];
+      std::snprintf(noiseLabel, sizeof noiseLabel, "%.1f", noise);
+      const obs::Labels l{
+          {"noise", noiseLabel},
+          {"compute_ms",
+           std::to_string(static_cast<int>(toMilliseconds(computePerCall)))}};
+      json.sample("vfpga_bench_e11_demand_ms", l, toMilliseconds(demandStall));
+      json.sample("vfpga_bench_e11_prefetch_ms", l,
+                  toMilliseconds(prefetchStall));
+      json.sample("vfpga_bench_e11_hit_rate", l, hitRate);
+      json.sample("vfpga_bench_e11_speedup", l, speedup);
     }
   }
   std::printf("\nreading: on predictable activation sequences with enough "
@@ -105,5 +118,6 @@ int main() {
               "nearly the entire reconfiguration stall; noise degrades it "
               "toward (and past) demand loading, since wrong prefetches "
               "also occupy the port.\n");
+  json.write();
   return 0;
 }

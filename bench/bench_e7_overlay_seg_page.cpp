@@ -53,10 +53,12 @@ std::vector<CompiledCircuit> compileFunctions(Compiler& compiler,
 
 int main() {
   DeviceProfile prof = mediumPartialProfile();
+  BenchJson json("e7_overlay_seg_page");
 
   for (double zipf : {1.2, 0.4}) {
     Rng traceRng(31337);
     const auto trace = makeTrace(zipf, traceRng);
+    const std::string zipfLabel = zipf > 0.8 ? "1.2" : "0.4";
 
     tableHeader("E7", zipf > 0.8
                           ? "high-locality trace (zipf 1.2), 1000 invocations"
@@ -64,10 +66,14 @@ int main() {
     std::printf("%-22s %12s %12s %10s\n", "technique", "Mbits_moved",
                 "stall_ms", "loads");
 
-    auto report = [](const char* name, const TechniqueResult& r) {
+    auto report = [&](const char* name, const TechniqueResult& r) {
       std::printf("%-22s %12.3f %12.2f %10llu\n", name,
                   double(r.bits) / 1e6, toMilliseconds(r.stall),
                   static_cast<unsigned long long>(r.loads));
+      const obs::Labels l{{"technique", name}, {"zipf", zipfLabel}};
+      json.sample("vfpga_bench_e7_bits_moved", l, static_cast<double>(r.bits));
+      json.sample("vfpga_bench_e7_stall_ms", l, toMilliseconds(r.stall));
+      json.sample("vfpga_bench_e7_loads", l, static_cast<double>(r.loads));
     };
 
     // --- dynamic loading: whole-device context switch per change ---
@@ -172,5 +178,6 @@ int main() {
               "smaller pages at a per-frame overhead cost. Low locality "
               "compresses the differences — the working-set argument of "
               "virtual memory, transplanted to configuration bits (§2).\n");
+  json.write();
   return 0;
 }

@@ -40,17 +40,12 @@ DynamicLoader::SwitchCost DynamicLoader::activate(ConfigId id,
   //    rewrites the whole device. With verification enabled each transfer
   //    is readback-checked and retried on mismatch up to the budget.
   fault::DownloadOutcome dl;
-  if (port_->spec().partialReconfig) {
-    const auto dirty =
-        diffFrames(dev_->image(), incoming.image, incoming.frameBits);
-    if (!dirty.empty()) {
-      const Bitstream bs =
-          makePartialBitstream(incoming.image, incoming.frameBits, dirty);
-      dl = fault::downloadWithRetry(*port_, bs, recovery_);
-      cost.downloaded = true;
-    }
-  } else {
-    dl = fault::downloadWithRetry(*port_, incoming.fullBitstream(), recovery_);
+  const Bitstream bs = port_->columnsBitstream(
+      incoming.image, 0,
+      static_cast<std::uint16_t>(dev_->geometry().cols - 1),
+      /*changedOnly=*/true);
+  if (!bs.frames.empty()) {
+    dl = fault::downloadWithRetry(*port_, bs, recovery_);
     cost.downloaded = true;
   }
   current_ = id;

@@ -38,10 +38,7 @@ SimDuration OverlayManager::installResident(const CompiledCircuit& common) {
       port_->spec().partialReconfig
           ? port_->download(residentCircuit_->partialBitstream())
           : port_->download(residentCircuit_->fullBitstream());
-  if (residentCircuit_->ffCount() > 0) {
-    LoadedCircuit lc(*dev_, *residentCircuit_);
-    lc.applyInitialState();
-  }
+  LoadedCircuit(*dev_, *residentCircuit_).applyInitialState();
   if (analysis::invariantChecksEnabled()) checkInvariants();
   return t;
 }
@@ -79,48 +76,19 @@ OverlayManager::InvokeResult OverlayManager::invoke(OverlayId id) {
     }
   }
 
+  // Replace whatever occupies the overlay strip: the target image is blank
+  // outside its own region, so writing it over the overlay columns both
+  // installs the new function and erases the old one. A partial port
+  // writes only the frames that differ from the configuration RAM; a
+  // serial-full port rewrites the resident part too (as the port's golden
+  // image holds it) — the very inefficiency overlaying is meant to avoid.
   const CompiledCircuit& target = overlays_[id];
-  if (port_->spec().partialReconfig) {
-    // Replace whatever occupies the overlay strip: the target image is
-    // blank outside its own region, so merging it over the overlay columns
-    // both installs the new function and erases the old one. Only frames
-    // that actually differ from the configuration RAM are written.
-    const ConfigMap& map = dev_->configMap();
-    auto [f0, f1] = map.framesOfColumns(
-        residentWidth_, static_cast<std::uint16_t>(dev_->geometry().cols - 1));
-    ConfigImage merged = dev_->image();
-    for (std::uint32_t f = f0; f < f1; ++f) {
-      for (std::uint32_t b = f * target.frameBits;
-           b < (f + 1) * target.frameBits; ++b) {
-        merged.set(b, target.image.get(b));
-      }
-    }
-    const auto dirty = diffFrames(dev_->image(), merged, target.frameBits);
-    if (!dirty.empty()) {
-      r.cost = port_->download(
-          makePartialBitstream(merged, target.frameBits, dirty));
-    }
-  } else {
-    // Serial-full port: the resident part must be rewritten too — the very
-    // inefficiency overlaying is meant to avoid on partial-port devices.
-    ConfigImage merged = target.image;
-    if (residentCircuit_) {
-      const ConfigMap& map = dev_->configMap();
-      auto [f0, f1] = map.framesOfColumns(
-          0, static_cast<std::uint16_t>(residentWidth_ - 1));
-      for (std::uint32_t f = f0; f < f1; ++f) {
-        for (std::uint32_t b = f * target.frameBits;
-             b < (f + 1) * target.frameBits; ++b) {
-          merged.set(b, residentCircuit_->image.get(b));
-        }
-      }
-    }
-    r.cost = port_->download(makeFullBitstream(merged, target.frameBits));
-  }
-  if (target.ffCount() > 0) {
-    LoadedCircuit lc(*dev_, target);
-    lc.applyInitialState();
-  }
+  const Bitstream bs = port_->columnsBitstream(
+      target.image, residentWidth_,
+      static_cast<std::uint16_t>(dev_->geometry().cols - 1),
+      /*changedOnly=*/true);
+  if (!bs.frames.empty()) r.cost = port_->download(bs);
+  LoadedCircuit(*dev_, target).applyInitialState();
   active_ = id;
   r.loaded = true;
   ++loads_;

@@ -78,28 +78,17 @@ std::optional<PartitionManager::LoadResult> PartitionManager::load(
 PartitionManager::DlOutcome PartitionManager::downloadInto(
     const CompiledCircuit& relocated) {
   DlOutcome out;
-  fault::DownloadOutcome dl;
-  if (port_->spec().partialReconfig) {
-    dl = fault::downloadWithRetry(*port_, relocated.partialBitstream(),
-                                  options_.recovery);
-  } else {
-    // A serial-full-only port cannot write one strip in isolation: the
-    // whole current image plus the new strip must be re-downloaded. Build
-    // the merged image (current RAM already holds the other partitions).
-    ConfigImage merged = dev_->image();
-    const ConfigMap& map = dev_->configMap();
-    auto [f0, f1] =
-        map.framesOfColumns(relocated.region.x0, relocated.region.x1());
-    for (std::uint32_t f = f0; f < f1; ++f) {
-      for (std::uint32_t b = f * relocated.frameBits;
-           b < (f + 1) * relocated.frameBits; ++b) {
-        merged.set(b, relocated.image.get(b));
-      }
-    }
-    dl = fault::downloadWithRetry(
-        *port_, makeFullBitstream(merged, relocated.frameBits),
-        options_.recovery);
-  }
+  // A serial-full-only port cannot write one strip in isolation: it
+  // re-downloads the whole intended image (which already holds the other
+  // partitions) with the new strip merged in.
+  const fault::DownloadOutcome dl = fault::downloadWithRetry(
+      *port_,
+      port_->spec().partialReconfig
+          ? relocated.partialBitstream()
+          : port_->columnsBitstream(relocated.image, relocated.region.x0,
+                                    relocated.region.x1(),
+                                    /*changedOnly=*/false),
+      options_.recovery);
   out.time = dl.time;
   out.retries = dl.retries;
   out.aborts = dl.aborts;
@@ -125,23 +114,9 @@ PartitionManager::DlOutcome PartitionManager::downloadInto(
 
 SimDuration PartitionManager::blankColumns(std::uint16_t c0,
                                            std::uint16_t c1) {
-  const ConfigMap& map = dev_->configMap();
-  ConfigImage blank(map.totalBits());
-  auto [f0, f1] = map.framesOfColumns(c0, c1);
-  std::vector<std::uint32_t> frames;
-  for (std::uint32_t f = f0; f < f1; ++f) frames.push_back(f);
-  if (port_->spec().partialReconfig) {
-    return port_->download(
-        makePartialBitstream(blank, map.frameBits(), frames));
-  }
-  ConfigImage merged = dev_->image();
-  for (std::uint32_t f = f0; f < f1; ++f) {
-    for (std::uint32_t b = f * map.frameBits(); b < (f + 1) * map.frameBits();
-         ++b) {
-      merged.set(b, false);
-    }
-  }
-  return port_->download(makeFullBitstream(merged, map.frameBits()));
+  const ConfigImage blank(dev_->configMap().totalBits());
+  return port_->download(
+      port_->columnsBitstream(blank, c0, c1, /*changedOnly=*/false));
 }
 
 SimDuration PartitionManager::blankInactiveStrips() {

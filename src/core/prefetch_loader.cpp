@@ -41,27 +41,13 @@ SimDuration PrefetchLoader::loadInto(ConfigId id, int half) {
   // Blank whatever the half held, then write the circuit: one pass — the
   // circuit's image is blank outside its own cells, and its frames cover
   // the whole half it was relocated into only if widths match; write the
-  // half's full frame range to be safe.
-  const ConfigMap& map = dev_->configMap();
+  // half's full column range to be safe.
   const std::uint16_t c0 = static_cast<std::uint16_t>(half == 0 ? 0 : halfWidth_);
   const std::uint16_t c1 = static_cast<std::uint16_t>(c0 + halfWidth_ - 1);
-  auto [f0, f1] = map.framesOfColumns(c0, c1);
-  ConfigImage merged = dev_->image();
-  for (std::uint32_t f = f0; f < f1; ++f) {
-    for (std::uint32_t b = f * map.frameBits(); b < (f + 1) * map.frameBits();
-         ++b) {
-      merged.set(b, c.image.get(b));
-    }
-  }
-  const auto dirty = diffFrames(dev_->image(), merged, map.frameBits());
-  SimDuration t = 0;
-  if (!dirty.empty()) {
-    t = port_->download(makePartialBitstream(merged, map.frameBits(), dirty));
-  }
-  if (c.ffCount() > 0) {
-    LoadedCircuit lc(*dev_, c);
-    lc.applyInitialState();
-  }
+  const Bitstream bs =
+      port_->columnsBitstream(c.image, c0, c1, /*changedOnly=*/true);
+  const SimDuration t = bs.frames.empty() ? 0 : port_->download(bs);
+  LoadedCircuit(*dev_, c).applyInitialState();
   return t;
 }
 

@@ -17,7 +17,13 @@ const char* replacementPolicyName(ReplacementPolicy p) {
 SegmentManager::SegmentManager(Device& device, ConfigPort& port,
                                Compiler& compiler, ReplacementPolicy policy)
     : dev_(&device), port_(&port), compiler_(&compiler), policy_(policy),
-      alloc_(device.geometry().cols) {}
+      alloc_(device.geometry().cols) {
+  if (!port.spec().partialReconfig) {
+    throw std::invalid_argument(
+        "segmentation needs a partial-reconfiguration port (a segment fault "
+        "writes one strip, not the whole device)");
+  }
+}
 
 SegmentId SegmentManager::addSegment(const CompiledCircuit& circuit) {
   if (!circuit.relocatable) {

@@ -30,6 +30,7 @@ const char* replacementPolicyName(ReplacementPolicy p);
 
 class SegmentManager {
  public:
+  /// Throws std::invalid_argument on a serial-full-only port.
   SegmentManager(Device& device, ConfigPort& port, Compiler& compiler,
                  ReplacementPolicy policy = ReplacementPolicy::kLru);
 

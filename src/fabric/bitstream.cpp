@@ -1,8 +1,10 @@
 #include "fabric/bitstream.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
+#include "util/bytes.hpp"
 #include "util/hash.hpp"
 
 namespace vfpga {
@@ -73,79 +75,7 @@ Bitstream makePartialBitstream(const ConfigImage& image,
   return bs;
 }
 
-std::vector<std::uint32_t> diffFrames(const ConfigImage& a,
-                                      const ConfigImage& b,
-                                      std::uint32_t frameBits) {
-  if (a.size() != b.size()) throw std::invalid_argument("image size mismatch");
-  std::vector<std::uint32_t> out;
-  const std::uint32_t n = a.size() / frameBits;
-  for (std::uint32_t id = 0; id < n; ++id) {
-    const std::uint32_t base = id * frameBits;
-    for (std::uint32_t i = 0; i < frameBits; ++i) {
-      if (a.get(base + i) != b.get(base + i)) {
-        out.push_back(id);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 namespace {
-
-void putU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return bytes_[pos_++];
-  }
-  std::uint16_t u16() {
-    need(2);
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        bytes_[pos_] | (bytes_[pos_ + 1] << 8));
-    pos_ += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  std::span<const std::uint8_t> raw(std::size_t n) {
-    need(n);
-    auto s = bytes_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  bool atEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  void need(std::size_t n) const {
-    if (pos_ + n > bytes_.size()) {
-      throw std::runtime_error("truncated bitstream file");
-    }
-  }
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
 
 constexpr std::uint8_t kMagic[4] = {'V', 'F', 'P', 'B'};
 constexpr std::uint16_t kFormatVersion = 1;
@@ -179,32 +109,46 @@ std::vector<std::uint8_t> serializeBitstream(const Bitstream& bs) {
 
 Bitstream deserializeBitstream(std::span<const std::uint8_t> bytes) {
   ByteReader in(bytes);
-  for (std::uint8_t m : kMagic) {
-    if (in.u8() != m) throw std::runtime_error("bad bitstream magic");
+  const auto requireBytes = [&in] {
+    if (!in.ok()) throw std::runtime_error("truncated bitstream file");
+  };
+  const auto magic = in.bytes(4);
+  requireBytes();
+  if (!std::ranges::equal(magic, kMagic)) {
+    throw std::runtime_error("bad bitstream magic");
   }
-  if (in.u16() != kFormatVersion) {
+  const std::uint16_t version = in.u16();
+  requireBytes();
+  if (version != kFormatVersion) {
     throw std::runtime_error("unsupported bitstream format version");
   }
   Bitstream bs;
   bs.frameBits = in.u32();
+  requireBytes();
   if (bs.frameBits == 0 || bs.frameBits > (1u << 20)) {
     throw std::runtime_error("implausible frame size");
   }
   bs.full = in.u8() != 0;
   const std::uint32_t frames = in.u32();
   const std::size_t payloadBytes = (bs.frameBits + 7) / 8;
+  // Every frame carries its id and payload: a count the remaining bytes
+  // cannot hold is a truncated (or forged) file, not a reason to allocate.
+  if (!in.fits(frames, 4 + payloadBytes)) {
+    throw std::runtime_error("truncated bitstream file");
+  }
   bs.frames.reserve(frames);
   for (std::uint32_t f = 0; f < frames; ++f) {
     Frame frame;
     frame.id = in.u32();
     frame.payload.resize(bs.frameBits);
-    const auto raw = in.raw(payloadBytes);
+    const auto raw = in.bytes(payloadBytes);
     for (std::uint32_t bit = 0; bit < bs.frameBits; ++bit) {
       frame.payload[bit] = (raw[bit / 8] >> (bit % 8)) & 1;
     }
     bs.frames.push_back(std::move(frame));
   }
   bs.crc = in.u16();
+  requireBytes();
   if (!in.atEnd()) throw std::runtime_error("trailing bytes in bitstream");
   if (!bs.crcOk()) throw std::runtime_error("bitstream CRC mismatch");
   return bs;

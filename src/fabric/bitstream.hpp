@@ -60,11 +60,6 @@ Bitstream makePartialBitstream(const ConfigImage& image,
                                std::uint32_t frameBits,
                                std::span<const std::uint32_t> frameIds);
 
-/// Frame ids whose contents differ between two equally sized images.
-std::vector<std::uint32_t> diffFrames(const ConfigImage& a,
-                                      const ConfigImage& b,
-                                      std::uint32_t frameBits);
-
 /// Applies a bitstream to an image (frame ids must be in range).
 void applyBitstream(ConfigImage& image, const Bitstream& bs);
 

@@ -1,5 +1,6 @@
 #include "fabric/config_port.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/hash.hpp"
@@ -26,6 +27,40 @@ SimDuration ConfigPort::stateReadCost(std::size_t ffBits) const {
 
 SimDuration ConfigPort::stateWriteCost(std::size_t ffBits) const {
   return spec_.stateOverhead + ffBits * spec_.stateBitPeriod;
+}
+
+Bitstream ConfigPort::columnsBitstream(const ConfigImage& src,
+                                       std::uint16_t c0, std::uint16_t c1,
+                                       bool changedOnly) const {
+  const ConfigMap& map = device_->configMap();
+  if (src.size() != map.totalBits() || c0 > c1 ||
+      c1 >= device_->geometry().cols) {
+    throw std::invalid_argument(
+        "columnsBitstream: image or column range does not fit the device");
+  }
+  const std::uint32_t frameBits = map.frameBits();
+  const auto [f0, f1] = map.framesOfColumns(c0, c1);
+  const ConfigImage& ram = device_->image();
+  if (!spec_.partialReconfig) {
+    // The other columns come from the golden image, not the RAM: download()
+    // writes this image into expected_ too, so an upset in the RAM would
+    // otherwise become the intended value and hide from the scrubber.
+    ConfigImage merged = expected_;
+    for (std::uint32_t b = f0 * frameBits; b < f1 * frameBits; ++b) {
+      merged.set(b, src.get(b));
+    }
+    return makeFullBitstream(merged, frameBits);
+  }
+  std::vector<std::uint32_t> frames;
+  for (std::uint32_t f = f0; f < f1; ++f) {
+    const auto bits = [&](const ConfigImage& img) {
+      return img.raw().subspan(f * frameBits, frameBits);
+    };
+    if (!changedOnly || !std::ranges::equal(bits(src), bits(ram))) {
+      frames.push_back(f);
+    }
+  }
+  return makePartialBitstream(src, frameBits, frames);
 }
 
 SimDuration ConfigPort::appliedDownloadCost(const Bitstream& bs,

@@ -9,6 +9,10 @@
 //    partialReconfig = true.
 // State readback/writeback (for preemption save/restore) is a separate
 // capability flag with its own per-bit cost.
+//
+// columnsBitstream() is the one place where a column range becomes frames:
+// the OS managers say which columns should hold what, and the port picks
+// the frames (or, on a serial port, the whole merged image) to send.
 #pragma once
 
 #include <cstdint>
@@ -124,6 +128,18 @@ class ConfigPort {
   SimDuration fullDownloadCost() const;  ///< cost of any full bitstream
   SimDuration stateReadCost(std::size_t ffBits) const;
   SimDuration stateWriteCost(std::size_t ffBits) const;
+
+  /// The bitstream that gives columns [c0, c1] the contents `src` holds
+  /// there and leaves every other column as the port intends it. On a
+  /// frame-addressable port: the range's frames, or with `changedOnly`
+  /// just those that differ from the configuration RAM (possibly none);
+  /// other frames are not written. On a serial-full-only port: the whole
+  /// image, [c0, c1] from `src` and every other column from the golden
+  /// image (expectedImage()), so an upset there is overwritten with the
+  /// intended value and never becomes it. Throws std::invalid_argument
+  /// when `src` or the range does not fit the device.
+  Bitstream columnsBitstream(const ConfigImage& src, std::uint16_t c0,
+                             std::uint16_t c1, bool changedOnly) const;
 
   /// Writes a bitstream into the device and returns the time it took.
   /// A partial bitstream on a port without partial support throws.

@@ -7,6 +7,7 @@
 
 #include "fabric/bitstream.hpp"
 #include "fault/recovery.hpp"
+#include "util/bytes.hpp"
 #include "util/hash.hpp"
 
 namespace vfpga::fault {
@@ -17,73 +18,15 @@ constexpr char kMagic[4] = {'V', 'F', 'C', 'K'};
 // magic + version + generation + payloadLen.
 constexpr std::size_t kHeaderBytes = 4 + 2 + 8 + 4;
 
-void putU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void putU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
 void putStr(std::vector<std::uint8_t>& out, const std::string& s) {
   putU32(out, static_cast<std::uint32_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
 }
 
-/// Bounds-checked little-endian reader; any overrun poisons the cursor so
-/// truncation surfaces as a single "payload truncated" diagnostic instead
-/// of garbage fields.
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t len;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool need(std::size_t n) {
-    if (!ok || len - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint16_t u16() {
-    if (!need(2)) return 0;
-    const std::uint16_t v =
-        static_cast<std::uint16_t>(p[pos] | (p[pos + 1] << 8));
-    pos += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[pos + i]} << (8 * i);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[pos + i]} << (8 * i);
-    pos += 8;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!need(n)) return {};
-    std::string s(reinterpret_cast<const char*>(p + pos), n);
-    pos += n;
-    return s;
-  }
-};
+std::string getStr(ByteReader& rd) {
+  const auto s = rd.bytes(rd.u32());
+  return {s.begin(), s.end()};
+}
 
 std::vector<std::uint8_t> encodePayload(const TaskCheckpoint& ck) {
   std::vector<std::uint8_t> out;
@@ -168,7 +111,7 @@ DecodeResult decodeCheckpoint(const std::vector<std::uint8_t>& bytes) {
     return r;
   }
   r.magicOk = true;
-  Reader hdr{bytes.data() + 4, bytes.size() - 4};
+  ByteReader hdr{std::span(bytes).subspan(4)};
   r.version = hdr.u16();
   if (r.version != kCheckpointVersion) {
     r.diagnostic = "unsupported version " + std::to_string(r.version);
@@ -194,20 +137,23 @@ DecodeResult decodeCheckpoint(const std::vector<std::uint8_t>& bytes) {
   }
   r.payloadCrcOk = true;
 
-  Reader rd{payload, payloadLen};
+  // Payload overruns poison the reader, so a truncation surfaces as one
+  // "payload truncated" diagnostic instead of garbage fields, and every
+  // count is checked against the bytes left before it is looped on.
+  ByteReader rd({payload, payloadLen});
   TaskCheckpoint ck;
-  ck.task = rd.str();
+  ck.task = getStr(rd);
   ck.priority = static_cast<int>(static_cast<std::int64_t>(rd.u64()));
-  ck.device = rd.str();
+  ck.device = getStr(rd);
   ck.placementX0 = rd.u16();
   ck.placementWidth = rd.u16();
   const std::uint32_t opCount = rd.u32();
-  for (std::uint32_t i = 0; i < opCount && rd.ok; ++i) {
+  rd.fits(opCount, 1 + 8);  // the shortest op: flag + CPU time
+  for (std::uint32_t i = 0; i < opCount && rd.ok(); ++i) {
     CheckpointOp op;
-    if (!rd.need(1)) break;
-    op.isFpga = rd.p[rd.pos++] != 0;
+    op.isFpga = rd.u8() != 0;
     if (op.isFpga) {
-      op.config = rd.str();
+      op.config = getStr(rd);
       op.configWidth = rd.u16();
       op.cycles = rd.u64();
     } else {
@@ -216,27 +162,28 @@ DecodeResult decodeCheckpoint(const std::vector<std::uint8_t>& bytes) {
     ck.ops.push_back(std::move(op));
   }
   const std::uint32_t regBits = rd.u32();
-  const std::uint32_t regBytes = (regBits + 7) / 8;
-  if (rd.need(regBytes)) {
+  const auto regBytes = rd.bytes((std::uint64_t{regBits} + 7) / 8);
+  if (rd.ok()) {
     ck.registers.resize(regBits);
     for (std::uint32_t i = 0; i < regBits; ++i) {
-      ck.registers[i] = (rd.p[rd.pos + i / 8] >> (i % 8)) & 1;
+      ck.registers[i] = (regBytes[i / 8] >> (i % 8)) & 1;
     }
-    rd.pos += regBytes;
   }
   const std::uint16_t storedStateCrc = rd.u16();
   auto getIds = [&rd](std::vector<std::uint32_t>& ids) {
     const std::uint32_t n = rd.u32();
-    for (std::uint32_t i = 0; i < n && rd.ok; ++i) ids.push_back(rd.u32());
+    rd.fits(n, 4);
+    for (std::uint32_t i = 0; i < n && rd.ok(); ++i) ids.push_back(rd.u32());
   };
   getIds(ck.overlayResidency);
   getIds(ck.segmentResidency);
   getIds(ck.pageResidency);
   const std::uint32_t bindings = rd.u32();
-  for (std::uint32_t i = 0; i < bindings && rd.ok; ++i) {
-    ck.ioBindings.push_back(rd.str());
+  rd.fits(bindings, 4);
+  for (std::uint32_t i = 0; i < bindings && rd.ok(); ++i) {
+    ck.ioBindings.push_back(getStr(rd));
   }
-  if (!rd.ok) {
+  if (!rd.ok()) {
     r.diagnostic = "payload truncated";
     return r;
   }
@@ -303,7 +250,7 @@ std::uint64_t CheckpointStore::latestOnDisk(const std::string& task) const {
         !std::equal(kMagic, kMagic + 4, bytes.begin())) {
       continue;
     }
-    Reader hdr{bytes.data() + 4, bytes.size() - 4};
+    ByteReader hdr{std::span(bytes).subspan(4)};
     hdr.u16();  // version — numbering must advance past even bad slots
     latest = std::max(latest, hdr.u64());
   }

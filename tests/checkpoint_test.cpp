@@ -194,6 +194,37 @@ TEST(CheckpointFormat, InnerStateCrcGuardsRegisterRot) {
   EXPECT_FALSE(r.stateCrcOk);   // ...but the snapshot's own CRC catches it
 }
 
+TEST(CheckpointFormat, ForgedCountsAreTruncationNotOverread) {
+  // Crafted files whose payload CRC was re-sealed (CRC-16 is no MAC): one
+  // count field is set past what the payload holds. A register bit count of
+  // 0xFFFFFFF9 used to wrap its byte count to 0 in 32 bits and read ~4e9
+  // bits past the buffer.
+  fault::TaskCheckpoint ck;
+  ck.task = "t";
+  ck.registers = {true, false, true, false, true, false, true, false,
+                  true};
+  const auto good = fault::encodeCheckpoint(ck, 1);
+  // Same layout as above: opCount at payload offset 21, register count 25.
+  for (const auto& [offset, count] :
+       {std::pair<std::size_t, std::uint32_t>{25, 0xFFFFFFF9u},
+        {25, 0xFFFFFFFFu},
+        {21, 0xFFFFFFFFu}}) {
+    auto bytes = good;
+    for (int i = 0; i < 4; ++i) {
+      bytes[kHeader + offset + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(count >> (8 * i));
+    }
+    const std::uint16_t crc =
+        refCrc16(bytes.data() + kHeader, bytes.size() - kHeader - 2);
+    bytes[bytes.size() - 2] = static_cast<std::uint8_t>(crc & 0xff);
+    bytes[bytes.size() - 1] = static_cast<std::uint8_t>(crc >> 8);
+    const fault::DecodeResult r = fault::decodeCheckpoint(bytes);
+    EXPECT_FALSE(r.ok) << "offset " << offset << " count " << count;
+    EXPECT_TRUE(r.payloadCrcOk);
+    EXPECT_EQ(r.diagnostic, "payload truncated");
+  }
+}
+
 // ---- double-buffered store -------------------------------------------------
 
 TEST(CheckpointStore, FallsBackPastRottenNewestGeneration) {

@@ -1,9 +1,12 @@
-// Device-independent OS bookkeeping: strip allocator (variable and fixed
-// partitions, splitting, merging, compaction), page manager, I/O mux.
+// OS bookkeeping: strip allocator (variable and fixed partitions,
+// splitting, merging, compaction), page manager, segment manager port
+// check, I/O mux.
 #include <gtest/gtest.h>
 
 #include "core/io_mux.hpp"
 #include "core/page_manager.hpp"
+#include "core/segment_manager.hpp"
+#include "fabric/device_family.hpp"
 #include "core/strip_allocator.hpp"
 #include "sim/rng.hpp"
 
@@ -328,6 +331,25 @@ TEST(PageManager, OversizedWorkingSetRejected) {
   // Single-page access of an oversized function is still fine.
   EXPECT_NO_THROW(pm.accessPage(f, 0));
   EXPECT_THROW(pm.accessPage(f, 7), std::out_of_range);
+}
+
+// --------------------------------------------------------- SegmentManager
+
+TEST(SegmentManager, RejectsSerialFullOnlyPort) {
+  // A segment fault writes one strip; a serial-full port cannot, so the
+  // manager refuses it up front rather than at the first fault.
+  const DeviceProfile serial = mediumSerialProfile();
+  Device dev = serial.makeDevice();
+  ConfigPort port(dev, serial.port);
+  Compiler compiler(dev);
+  EXPECT_THROW(SegmentManager(dev, port, compiler), std::invalid_argument);
+  EXPECT_EQ(port.stats().fullDownloads, 0u);
+
+  const DeviceProfile partial = mediumPartialProfile();
+  Device dev2 = partial.makeDevice();
+  ConfigPort port2(dev2, partial.port);
+  Compiler compiler2(dev2);
+  EXPECT_NO_THROW(SegmentManager(dev2, port2, compiler2));
 }
 
 // ------------------------------------------------------------------ IoMux

@@ -1,16 +1,22 @@
 // Device-backed VFPGA managers: dynamic loader (functional context switch
 // with state save/restore), partition manager (concurrent circuits, GC with
-// live-state relocation), overlay manager, segment manager.
+// live-state relocation), overlay manager, segment manager, and every
+// manager path that rewrites a column range, pinned by cost and RAM digest.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <sstream>
 
 #include "core/dynamic_loader.hpp"
 #include "core/overlay_manager.hpp"
 #include "core/partition_manager.hpp"
+#include "core/prefetch_loader.hpp"
 #include "core/segment_manager.hpp"
 #include "fabric/device_family.hpp"
 #include "netlist/library/coding.hpp"
 #include "netlist/library/control.hpp"
 #include "netlist/library/datapath.hpp"
+#include "util/hash.hpp"
 #include "workloads/compile_suite.hpp"
 
 namespace vfpga {
@@ -398,6 +404,261 @@ TEST_F(ManagerTest, SegmentLruKeepsHotSegmentResident) {
     hotFaults += sm.faults() - before;
   }
   EXPECT_EQ(hotFaults, 0u);  // LRU never evicts the hot segment
+}
+
+// ------------------------------------------ column-range rewrite paths
+
+/// One device of a profile with its port, compiler and registry.
+struct Rig {
+  explicit Rig(const DeviceProfile& p)
+      : dev(p.makeDevice()), port(dev, p.port), compiler(dev) {}
+  Device dev;
+  ConfigPort port;
+  Compiler compiler;
+  ConfigRegistry registry;
+
+  CompiledCircuit compile(Netlist nl, const std::string& name,
+                          std::uint16_t width) {
+    nl.setName(name);
+    CompileOptions opt;
+    opt.seed = 7;
+    return compiler.compile(nl, Region::columns(dev.geometry(), 0, width),
+                            opt);
+  }
+};
+
+/// FNV-1a over the configuration RAM, one value per bit.
+std::uint64_t ramDigest(const Device& dev) {
+  const ConfigImage& img = dev.image();
+  std::uint64_t h = kFnvOffset;
+  for (std::uint32_t b = 0; b < img.size(); ++b) {
+    h = (h ^ (img.get(b) ? 1u : 0u)) * kFnvPrime;
+  }
+  return h;
+}
+
+/// Runs every manager path that rewrites a column range of the RAM and
+/// returns one line per step: its cost and the RAM digest after it.
+std::string columnRewriteTranscript(const DeviceProfile& prof) {
+  std::ostringstream out;
+  auto step = [&out](const std::string& what, SimDuration cost,
+                     const Device& dev) {
+    out << what << " cost=" << cost << " ram=" << std::hex << ramDigest(dev)
+        << std::dec << "\n";
+  };
+  {  // Dynamic loading: whole-device switches, with state save/restore.
+    Rig r(prof);
+    const ConfigId a = r.registry.add(r.compile(lib::makeCounter(6), "a", 5));
+    const ConfigId b =
+        r.registry.add(r.compile(lib::makeChecksum(6), "b", 5));
+    DynamicLoader dl(r.dev, r.port, r.registry);
+    for (const ConfigId id : {a, b, a}) {
+      step("dyn.activate " + std::to_string(id), dl.activate(id).total, r.dev);
+    }
+  }
+  {  // Variable partitions: load, GC, unload, quarantine, heal, reload.
+    Rig r(prof);
+    const ConfigId a = r.registry.add(r.compile(lib::makeCounter(6), "a", 4));
+    const ConfigId b =
+        r.registry.add(r.compile(lib::makeChecksum(6), "b", 4));
+    const ConfigId c = r.registry.add(r.compile(lib::makeCounter(4), "c", 4));
+    const ConfigId d =
+        r.registry.add(r.compile(lib::makeChecksum(4), "d", 5));
+    PartitionManager pm(r.dev, r.port, r.registry, r.compiler);
+    std::map<ConfigId, PartitionId> at;
+    auto load = [&](ConfigId id) {
+      const auto res = pm.load(id);
+      ASSERT_TRUE(res) << "load " << id;
+      at[id] = res->partition;
+      step("part.load " + std::to_string(id) + " gc=" +
+               std::to_string(res->garbageCollected),
+           res->cost + res->gcCost, r.dev);
+    };
+    auto unload = [&](ConfigId id) {
+      step("part.unload " + std::to_string(id), pm.unload(at.at(id)), r.dev);
+    };
+    load(a);
+    load(b);
+    load(c);
+    unload(a);
+    unload(c);
+    load(d);  // fragmented: compaction relocates b
+    unload(d);
+    const auto q = pm.quarantine(1);  // evacuates b
+    EXPECT_TRUE(q.quarantined && q.relocated);
+    at[b] = q.movedTo;
+    step("part.quarantine 1", q.cost, r.dev);
+    load(a);
+    unload(a);  // degraded device: the strip is blanked on release
+    step("part.heal 1", pm.unquarantine(1), r.dev);
+    load(a);
+  }
+  {  // Fixed partitions wider than the circuit: the remainder is blanked.
+    Rig r(prof);
+    const ConfigId a = r.registry.add(r.compile(lib::makeCounter(6), "a", 5));
+    PartitionManagerOptions opt;
+    opt.fixedWidths = {6, 6};
+    PartitionManager pm(r.dev, r.port, r.registry, r.compiler, opt);
+    const auto res = pm.load(a);
+    EXPECT_TRUE(res);
+    step("fixed.load", res ? res->cost : 0, r.dev);
+  }
+  for (const bool withResident : {true, false}) {  // Overlays.
+    Rig r(prof);
+    OverlayManager om(r.dev, r.port, r.compiler, 4);
+    const std::string tag = withResident ? "ovl.res" : "ovl.bare";
+    if (withResident) {
+      step(tag + ".install",
+           om.installResident(r.compile(lib::makeChecksum(6), "common", 4)),
+           r.dev);
+    }
+    const OverlayId o1 = om.addOverlay(r.compile(lib::makeCounter(6), "f1", 4));
+    const OverlayId o2 =
+        om.addOverlay(r.compile(lib::makeLfsr(8, 0b10111000), "f2", 4));
+    for (const OverlayId id : {o1, o2, o1}) {
+      step(tag + ".invoke " + std::to_string(id), om.invoke(id).cost, r.dev);
+    }
+  }
+  {  // An overlay without a resident leaves the low columns as intended.
+    Rig r(prof);
+    const CompiledCircuit seed = r.compile(lib::makeChecksum(6), "seed", 4);
+    step("ovl.seeded.download",
+         r.port.download(prof.port.partialReconfig ? seed.partialBitstream()
+                                                   : seed.fullBitstream()),
+         r.dev);
+    OverlayManager om(r.dev, r.port, r.compiler, 4);
+    const OverlayId o1 = om.addOverlay(r.compile(lib::makeCounter(6), "f1", 4));
+    const OverlayId o2 =
+        om.addOverlay(r.compile(lib::makeLfsr(8, 0b10111000), "f2", 4));
+    for (const OverlayId id : {o1, o2, o1}) {
+      step("ovl.seeded.invoke " + std::to_string(id), om.invoke(id).cost,
+           r.dev);
+    }
+    const ConfigMap& map = r.dev.configMap();
+    const auto [f0, f1] = map.framesOfColumns(0, 3);
+    std::uint32_t changed = 0;
+    for (std::uint32_t b = f0 * map.frameBits(); b < f1 * map.frameBits();
+         ++b) {
+      changed += r.dev.image().get(b) != seed.image.get(b) ? 1 : 0;
+    }
+    EXPECT_EQ(changed, 0u) << "bits of columns [0, 3] the overlays rewrote";
+  }
+  if (prof.port.partialReconfig) {  // Prefetching needs a partial port.
+    Rig r(prof);
+    const ConfigId a = r.registry.add(r.compile(lib::makeCounter(6), "a", 4));
+    const ConfigId b =
+        r.registry.add(r.compile(lib::makeChecksum(6), "b", 4));
+    const ConfigId c = r.registry.add(
+        r.compile(lib::makeLfsr(8, 0b10111000), "c", 4));
+    PrefetchLoader pl(r.dev, r.port, r.registry, r.compiler);
+    SimTime now = 0;
+    for (const ConfigId id : {a, b, c, a, b, c, a, c}) {
+      const SimDuration stall = pl.activate(id, now).stall;
+      step("pre.activate " + std::to_string(id), stall, r.dev);
+      now += stall + millis(1);
+    }
+  }
+  return out.str();
+}
+
+// Each step's cost and resulting RAM contents are pinned, so a change in
+// how these paths build their bitstreams cannot move either unnoticed.
+TEST(ColumnRewritePaths, PinnedOnMediumPartial) {
+  EXPECT_EQ(columnRewriteTranscript(mediumPartialProfile()), R"(dyn.activate 0 cost=2287600 ram=5783081c350a6fbf
+dyn.activate 1 cost=4157600 ram=69bfe507414768cc
+dyn.activate 0 cost=4165600 ram=5783081c350a6fbf
+part.load 0 gc=0 cost=4043200 ram=32e309239d8b4175
+part.load 1 gc=0 cost=3830400 ram=4066b250671a45cc
+part.load 2 gc=0 cost=4362400 ram=e2f371b3276db965
+part.unload 0 cost=0 ram=e2f371b3276db965
+part.unload 2 cost=0 ram=e2f371b3276db965
+part.load 3 gc=1 cost=12677600 ram=11900d641af68272
+part.unload 3 cost=0 ram=11900d641af68272
+part.quarantine 1 cost=16295200 ram=2f745c55ca2ea37c
+part.load 0 gc=0 cost=4362400 ram=3bebb5ea6ac27360
+part.unload 0 cost=4362400 ram=2f745c55ca2ea37c
+part.heal 1 cost=957600 ram=2f745c55ca2ea37c
+part.load 0 gc=0 cost=4043200 ram=4066b250671a45cc
+fixed.load cost=5958400 ram=5783081c350a6fbf
+ovl.res.install cost=4043200 ram=7d4d7ee102b5c038
+ovl.res.invoke 0 cost=2128000 ram=41295a1f5446ff4e
+ovl.res.invoke 1 cost=2128000 ram=b3092a2b64bbf719
+ovl.res.invoke 0 cost=2128000 ram=41295a1f5446ff4e
+ovl.bare.invoke 0 cost=2128000 ram=5e14d7eaaf0e600f
+ovl.bare.invoke 1 cost=2128000 ram=ec3507de9e996844
+ovl.bare.invoke 0 cost=2128000 ram=5e14d7eaaf0e600f
+ovl.seeded.download cost=4043200 ram=7d4d7ee102b5c038
+ovl.seeded.invoke 0 cost=2128000 ram=41295a1f5446ff4e
+ovl.seeded.invoke 1 cost=2128000 ram=b3092a2b64bbf719
+ovl.seeded.invoke 0 cost=2128000 ram=41295a1f5446ff4e
+pre.activate 0 cost=2128000 ram=d2781da075d8900f
+pre.activate 1 cost=2872800 ram=ccc614698d7ccf4e
+pre.activate 2 cost=2128000 ram=db4b6df8fd3aaf19
+pre.activate 0 cost=3351600 ram=dbf9813f7e03cdcc
+pre.activate 1 cost=2458000 ram=447a195baee48921
+pre.activate 2 cost=1021600 ram=3d0927001a24248e
+pre.activate 0 cost=2511200 ram=ccc614698d7ccf4e
+pre.activate 2 cost=5596800 ram=3d0927001a24248e
+)");
+}
+
+TEST(ColumnRewritePaths, PinnedOnMediumSerial) {
+  EXPECT_EQ(columnRewriteTranscript(mediumSerialProfile()), R"(dyn.activate 0 cost=11876000 ram=5783081c350a6fbf
+dyn.activate 1 cost=11884000 ram=69bfe507414768cc
+dyn.activate 0 cost=11892000 ram=5783081c350a6fbf
+part.load 0 gc=0 cost=11876000 ram=32e309239d8b4175
+part.load 1 gc=0 cost=11876000 ram=4066b250671a45cc
+part.load 2 gc=0 cost=11876000 ram=e2f371b3276db965
+part.unload 0 cost=0 ram=e2f371b3276db965
+part.unload 2 cost=0 ram=e2f371b3276db965
+part.load 3 gc=1 cost=35644000 ram=11900d641af68272
+part.unload 3 cost=0 ram=11900d641af68272
+part.quarantine 1 cost=71272000 ram=2f745c55ca2ea37c
+part.load 0 gc=0 cost=11876000 ram=3bebb5ea6ac27360
+part.unload 0 cost=11876000 ram=2f745c55ca2ea37c
+part.heal 1 cost=11876000 ram=2f745c55ca2ea37c
+part.load 0 gc=0 cost=11876000 ram=4066b250671a45cc
+fixed.load cost=23752000 ram=5783081c350a6fbf
+ovl.res.install cost=11876000 ram=7d4d7ee102b5c038
+ovl.res.invoke 0 cost=11876000 ram=41295a1f5446ff4e
+ovl.res.invoke 1 cost=11876000 ram=b3092a2b64bbf719
+ovl.res.invoke 0 cost=11876000 ram=41295a1f5446ff4e
+ovl.bare.invoke 0 cost=11876000 ram=5e14d7eaaf0e600f
+ovl.bare.invoke 1 cost=11876000 ram=ec3507de9e996844
+ovl.bare.invoke 0 cost=11876000 ram=5e14d7eaaf0e600f
+ovl.seeded.download cost=11876000 ram=7d4d7ee102b5c038
+ovl.seeded.invoke 0 cost=11876000 ram=41295a1f5446ff4e
+ovl.seeded.invoke 1 cost=11876000 ram=b3092a2b64bbf719
+ovl.seeded.invoke 0 cost=11876000 ram=41295a1f5446ff4e
+)");
+}
+
+// An upset in the resident strip never reaches the port's golden image
+// through an overlay swap, so scrubbing still restores the intended bit.
+// A partial swap leaves the upset in the RAM for the scrubber to find; a
+// serial swap rewrites the whole device from the golden image, which
+// overwrites it.
+TEST(ColumnRewritePaths, OverlaySwapKeepsResidentUpsetOutOfGoldenImage) {
+  for (const DeviceProfile& prof :
+       {mediumPartialProfile(), mediumSerialProfile()}) {
+    SCOPED_TRACE(prof.name);
+    Rig r(prof);
+    OverlayManager om(r.dev, r.port, r.compiler, 4);
+    om.installResident(r.compile(lib::makeChecksum(6), "common", 4));
+    const OverlayId o1 = om.addOverlay(r.compile(lib::makeCounter(6), "f1", 4));
+    const OverlayId o2 =
+        om.addOverlay(r.compile(lib::makeLfsr(8, 0b10111000), "f2", 4));
+    om.invoke(o1);
+    const std::uint32_t bit = r.dev.configMap().clbLutBit(0, 0, 0);
+    const bool intended = r.dev.image().get(bit);
+    r.dev.setConfigBit(bit, !intended);  // behind the port's back
+    EXPECT_TRUE(om.invoke(o2).loaded);
+    EXPECT_EQ(r.port.expectedImage().get(bit), intended);
+    const bool partial = prof.port.partialReconfig;
+    EXPECT_EQ(r.dev.image().get(bit), partial ? !intended : intended);
+    EXPECT_EQ(r.port.scrub().repairedFrames, partial ? 1u : 0u);
+    EXPECT_EQ(r.dev.image().get(bit), intended);
+  }
 }
 
 }  // namespace

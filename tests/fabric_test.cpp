@@ -13,6 +13,7 @@
 #include "fabric/routing_graph.hpp"
 #include "netlist/library/coding.hpp"
 #include "netlist/library/control.hpp"
+#include "sim/rng.hpp"
 
 namespace vfpga {
 namespace {
@@ -220,14 +221,6 @@ TEST(Bitstream, PartialCoversOnlyRequestedFrames) {
   applyBitstream(img2, bs);
   EXPECT_TRUE(img2.get(65));
   EXPECT_FALSE(img2.get(130));
-}
-
-TEST(Bitstream, DiffFramesFindsChangedFramesOnly) {
-  ConfigImage a(256), b(256);
-  b.set(0, true);    // frame 0
-  b.set(255, true);  // frame 3
-  auto diff = diffFrames(a, b, 64);
-  EXPECT_EQ(diff, (std::vector<std::uint32_t>{0, 3}));
 }
 
 TEST(Bitstream, CrcDetectsCorruption) {
@@ -550,6 +543,166 @@ TEST(ConfigPort, NoStateAccessThrows) {
   std::vector<bool> state;
   EXPECT_THROW(port.readState(state), std::logic_error);
   EXPECT_THROW(port.writeState(state), std::logic_error);
+}
+
+// ---- ConfigPort::columnsBitstream -----------------------------------------
+// Each case fills the RAM and a source image with random bits and checks
+// the result against a per-bit oracle: a bit takes the source's value iff
+// its frame belongs to a column in [c0, c1], and keeps the base image's
+// value otherwise (the RAM on a partial port, the golden image on a
+// serial one).
+
+ConfigImage randomImage(std::uint32_t bits, Rng& rng) {
+  ConfigImage img(bits);
+  for (std::uint32_t b = 0; b < bits; ++b) img.set(b, rng.below(2) != 0);
+  return img;
+}
+
+void fillRam(Device& dev, Rng& rng) {
+  const ConfigImage img = randomImage(dev.configMap().totalBits(), rng);
+  for (std::uint32_t b = 0; b < img.size(); ++b) dev.setConfigBit(b, img.get(b));
+}
+
+ConfigImage mergedOracle(const ConfigMap& map, const ConfigImage& base,
+                         const ConfigImage& src, std::uint16_t c0,
+                         std::uint16_t c1) {
+  ConfigImage out = base;
+  for (std::uint32_t b = 0; b < out.size(); ++b) {
+    const std::uint16_t col = map.columnOfFrame(map.frameOfBit(b));
+    if (col >= c0 && col <= c1) out.set(b, src.get(b));
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> frameIds(const Bitstream& bs) {
+  std::vector<std::uint32_t> ids;
+  for (const Frame& f : bs.frames) ids.push_back(f.id);
+  return ids;
+}
+
+TEST(ConfigPort, ColumnsBitstreamCarriesEveryFrameOfTheRange) {
+  Rng rng(11);
+  Device dev(tinyGeom(), DeviceTiming{}, 64);
+  ConfigPort port(dev, ConfigPortSpec{});
+  const ConfigMap& map = dev.configMap();
+  for (int trial = 0; trial < 8; ++trial) {
+    fillRam(dev, rng);
+    const ConfigImage src = randomImage(map.totalBits(), rng);
+    const auto c0 = static_cast<std::uint16_t>(rng.below(4));
+    const auto c1 = static_cast<std::uint16_t>(c0 + rng.below(4u - c0));
+    const Bitstream bs = port.columnsBitstream(src, c0, c1, false);
+    EXPECT_FALSE(bs.full);
+    EXPECT_TRUE(bs.crcOk());
+    const auto [f0, f1] = map.framesOfColumns(c0, c1);
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t f = f0; f < f1; ++f) want.push_back(f);
+    EXPECT_EQ(frameIds(bs), want);
+    ConfigImage applied = dev.image();
+    applyBitstream(applied, bs);
+    EXPECT_EQ(applied, mergedOracle(map, dev.image(), src, c0, c1)) << "trial " << trial;
+  }
+}
+
+TEST(ConfigPort, ColumnsBitstreamChangedOnlyKeepsDifferingFrames) {
+  Rng rng(12);
+  Device dev(tinyGeom(), DeviceTiming{}, 64);
+  ConfigPort port(dev, ConfigPortSpec{});
+  const ConfigMap& map = dev.configMap();
+  const std::uint32_t frames = map.frameCount();
+  for (int trial = 0; trial < 8; ++trial) {
+    fillRam(dev, rng);
+    // The source differs from the RAM in one bit of a few random frames.
+    ConfigImage src = dev.image();
+    std::set<std::uint32_t> touched;
+    for (int k = 0; k < 4; ++k) {
+      const auto f = static_cast<std::uint32_t>(rng.below(frames));
+      const std::uint32_t b =
+          f * map.frameBits() +
+          static_cast<std::uint32_t>(rng.below(map.frameBits()));
+      src.set(b, !src.get(b));
+      touched.insert(f);
+    }
+    const std::uint16_t c0 = 1;
+    const std::uint16_t c1 = 2;
+    const auto [f0, f1] = map.framesOfColumns(c0, c1);
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t f : touched) {
+      if (f >= f0 && f < f1) want.push_back(f);
+    }
+    const Bitstream bs = port.columnsBitstream(src, c0, c1, true);
+    EXPECT_FALSE(bs.full);
+    EXPECT_EQ(frameIds(bs), want) << "trial " << trial;
+    ConfigImage applied = dev.image();
+    applyBitstream(applied, bs);
+    EXPECT_EQ(applied, mergedOracle(map, dev.image(), src, c0, c1)) << "trial " << trial;
+  }
+}
+
+TEST(ConfigPort, ColumnsBitstreamEmptyWhenNothingDiffers) {
+  Rng rng(13);
+  Device dev(tinyGeom(), DeviceTiming{}, 64);
+  ConfigPort port(dev, ConfigPortSpec{});
+  fillRam(dev, rng);
+  // Equal to the RAM inside columns [1, 2], random everywhere else.
+  ConfigImage src = randomImage(dev.configMap().totalBits(), rng);
+  const auto [f0, f1] = dev.configMap().framesOfColumns(1, 2);
+  for (std::uint32_t b = f0 * 64; b < f1 * 64; ++b) {
+    src.set(b, dev.image().get(b));
+  }
+  EXPECT_TRUE(port.columnsBitstream(src, 1, 2, true).frames.empty());
+  EXPECT_EQ(port.columnsBitstream(src, 1, 2, false).frameCount(), f1 - f0);
+}
+
+TEST(ConfigPort, ColumnsBitstreamOnSerialPortIsTheWholeMergedImage) {
+  Rng rng(14);
+  Device dev(tinyGeom(), DeviceTiming{}, 64);
+  ConfigPortSpec spec;
+  spec.partialReconfig = false;
+  ConfigPort port(dev, spec);
+  const ConfigMap& map = dev.configMap();
+  for (int trial = 0; trial < 8; ++trial) {
+    fillRam(dev, rng);
+    port.resyncExpected();
+    // An upset behind the port's back: the RAM now differs from the golden
+    // image in one bit, and only the golden value may reach the stream.
+    const auto upset = static_cast<std::uint32_t>(rng.below(map.totalBits()));
+    dev.setConfigBit(upset, !dev.image().get(upset));
+    const ConfigImage src = randomImage(map.totalBits(), rng);
+    const auto c0 = static_cast<std::uint16_t>(rng.below(4));
+    const auto c1 = static_cast<std::uint16_t>(c0 + rng.below(4u - c0));
+    for (const bool changedOnly : {false, true}) {
+      const Bitstream bs = port.columnsBitstream(src, c0, c1, changedOnly);
+      EXPECT_TRUE(bs.full);
+      EXPECT_TRUE(bs.crcOk());
+      EXPECT_EQ(bs.frameCount(), map.frameCount());
+      ConfigImage applied(map.totalBits());
+      applyBitstream(applied, bs);
+      EXPECT_EQ(applied,
+                mergedOracle(map, port.expectedImage(), src, c0, c1))
+          << "trial " << trial << " changedOnly " << changedOnly;
+    }
+  }
+  // Nothing to change still means a whole-device download.
+  EXPECT_EQ(port.columnsBitstream(dev.image(), 0, 0, true).frameCount(),
+            map.frameCount());
+  // An upset outside the range is overwritten with the intended bit, so
+  // downloading the result keeps the golden image and repairs the RAM.
+  const std::uint32_t bit = map.framesOfColumns(3, 3).first * map.frameBits();
+  const bool intended = port.expectedImage().get(bit);
+  dev.setConfigBit(bit, !intended);
+  port.download(port.columnsBitstream(dev.image(), 0, 0, false));
+  EXPECT_EQ(port.expectedImage().get(bit), intended);
+  EXPECT_EQ(dev.image().get(bit), intended);
+}
+
+TEST(ConfigPort, ColumnsBitstreamRejectsMismatchedInput) {
+  Device dev(tinyGeom(), DeviceTiming{}, 64);
+  ConfigPort port(dev, ConfigPortSpec{});
+  const ConfigImage ok(dev.configMap().totalBits());
+  EXPECT_THROW(port.columnsBitstream(ConfigImage(64), 0, 0, false),
+               std::invalid_argument);
+  EXPECT_THROW(port.columnsBitstream(ok, 2, 1, false), std::invalid_argument);
+  EXPECT_THROW(port.columnsBitstream(ok, 0, 4, false), std::invalid_argument);
 }
 
 TEST(DeviceFamily, ProfilesAreWellFormed) {

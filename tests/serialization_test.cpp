@@ -53,6 +53,28 @@ TEST(BitstreamSerialization, RoundTripPartialOddFrameBits) {
   EXPECT_EQ(back.frames[1].payload, bs.frames[1].payload);
 }
 
+TEST(BitstreamSerialization, ForgedFrameCountIsRejectedWithoutAllocating) {
+  // A 15-byte header whose frame count (0xFFFFFFFF) no payload follows.
+  // Reserving for it would ask for over 100 GiB; the decoder must check the
+  // count against the bytes that remain and report a truncated file.
+  const std::vector<std::uint8_t> forged = {
+      'V', 'F', 'P', 'B', 1, 0,  // magic, version 1
+      64, 0, 0, 0,               // frameBits
+      1,                         // full
+      0xFF, 0xFF, 0xFF, 0xFF};   // frame count
+  ASSERT_EQ(forged.size(), 15u);
+  try {
+    deserializeBitstream(forged);
+    ADD_FAILURE() << "forged frame count accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "truncated bitstream file");
+  }
+  // One frame short of a valid count is a truncation too.
+  auto bytes = serializeBitstream(sampleBitstream(64, 4, 5));
+  bytes[11] = 5;
+  EXPECT_THROW(deserializeBitstream(bytes), std::runtime_error);
+}
+
 TEST(BitstreamSerialization, DetectsEveryKindOfDamage) {
   Bitstream bs = sampleBitstream(64, 4, 23);
   auto bytes = serializeBitstream(bs);
