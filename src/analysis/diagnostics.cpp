@@ -394,29 +394,24 @@ std::string Report::renderJson() const {
 }
 
 namespace {
-InvariantFailureHook& failureHook() {
-  static InvariantFailureHook hook;
-  return hook;
+std::string firstErrorRule(const Report& rep) {
+  for (const Diagnostic& d : rep.diagnostics()) {
+    if (d.severity == Severity::kError) return d.rule;
+  }
+  return rep.diagnostics().empty() ? std::string("unknown")
+                                   : rep.diagnostics().front().rule;
 }
 }  // namespace
 
-InvariantFailureHook setInvariantFailureHook(InvariantFailureHook hook) {
-  InvariantFailureHook prev = std::move(failureHook());
-  failureHook() = std::move(hook);
-  return prev;
-}
+InvariantViolation::InvariantViolation(const Report& rep,
+                                       std::string_view context)
+    : std::logic_error("invariant violation in " + std::string(context) +
+                       ":\n" + rep.renderText()),
+      rule_(firstErrorRule(rep)), context_(context),
+      reportJson_(rep.renderJson()) {}
 
 void throwIfErrors(const Report& rep, std::string_view context) {
-  if (rep.ok()) return;
-  if (const InvariantFailureHook& hook = failureHook()) {
-    try {
-      hook(rep, context);
-    } catch (...) {
-      // A broken dumper must not mask the violation being reported.
-    }
-  }
-  throw InvariantViolation("invariant violation in " + std::string(context) +
-                           ":\n" + rep.renderText());
+  if (!rep.ok()) throw InvariantViolation(rep, context);
 }
 
 namespace {

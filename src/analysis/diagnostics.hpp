@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -104,27 +103,27 @@ class Report {
 };
 
 /// Thrown by the managers' checkInvariants() hooks on any error-severity
-/// diagnostic; what() carries the rendered report.
+/// diagnostic; what() carries the rendered report. The fields are what a
+/// post-mortem needs: the kernel that catches it dumps them into its own
+/// flight recorder (core/obs_bridge.hpp::dumpFlight) and rethrows.
 class InvariantViolation : public std::logic_error {
  public:
-  using std::logic_error::logic_error;
+  InvariantViolation(const Report& rep, std::string_view context);
+
+  /// Rule ID of the first error diagnostic.
+  const std::string& rule() const { return rule_; }
+  const std::string& context() const { return context_; }
+  /// The failing report, rendered by Report::renderJson().
+  const std::string& reportJson() const { return reportJson_; }
+
+ private:
+  std::string rule_;
+  std::string context_;
+  std::string reportJson_;
 };
 
-/// Throws InvariantViolation when `rep` holds any error diagnostic. Before
-/// throwing, the installed invariant-failure hook (if any) is invoked with
-/// the failing report and context.
+/// Throws InvariantViolation when `rep` holds any error diagnostic.
 void throwIfErrors(const Report& rep, std::string_view context);
-
-/// Observer invoked by throwIfErrors() just before it throws; used to wire
-/// a post-mortem dumper (the obs flight recorder) without this library
-/// depending on it. Exceptions escaping the hook are swallowed so they
-/// cannot mask the InvariantViolation itself.
-using InvariantFailureHook =
-    std::function<void(const Report&, std::string_view context)>;
-
-/// Installs (or clears, with {}) the process-wide hook; returns the
-/// previous one.
-InvariantFailureHook setInvariantFailureHook(InvariantFailureHook hook);
 
 /// True when the in-manager invariant hooks should run: either forced via
 /// setInvariantChecks(), or VFPGA_CHECK_INVARIANTS is set in the

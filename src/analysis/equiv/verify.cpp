@@ -103,20 +103,15 @@ void verifyConfiguredOrThrow(Device& dev, const CompiledCircuit& c,
   throwIfErrors(rep, context);
 }
 
-void installRelocateVerifier() {
-  static bool installed = false;
-  if (installed) return;
-  installed = true;
-  Compiler::setRelocateObserver(
-      [](const FabricGeometry& g, const DeviceTiming& t,
-         std::uint32_t frameBits, const CompiledCircuit& /*original*/,
-         const CompiledCircuit& relocated) {
-        if (!invariantChecksEnabled()) return;
-        Device scratch(g, t, frameBits);
-        scratch.applyBitstream(relocated.fullBitstream());
-        verifyConfiguredOrThrow(scratch, relocated,
-                                "Compiler::relocate post-condition");
-      });
+CompiledCircuit relocateProven(Compiler& compiler, const CompiledCircuit& c,
+                               std::uint16_t x0) {
+  CompiledCircuit r = compiler.relocate(c, x0);
+  if (x0 != c.region.x0 && invariantChecksEnabled()) {
+    Device scratch(compiler.geometry(), compiler.timing(), r.frameBits);
+    scratch.applyBitstream(r.fullBitstream());
+    verifyConfiguredOrThrow(scratch, r, "Compiler::relocate post-condition");
+  }
+  return r;
 }
 
 }  // namespace vfpga::analysis::equiv

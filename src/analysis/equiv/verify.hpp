@@ -3,7 +3,8 @@
 // outcome as EQ diagnostics / invariant checks.
 //
 // These run at the three places corruption can enter a live system:
-//  * after Compiler::relocate (installRelocateVerifier);
+//  * after Compiler::relocate (relocateProven, which every OS manager
+//    relocates through);
 //  * after cluster migration resume (OsKernel calls verifyConfiguredOrThrow);
 //  * after fault-layer scrub repair (ditto).
 #pragma once
@@ -49,11 +50,13 @@ void lintEquivalence(const ConfiguredCheck& chk, const std::string& circuit,
 void verifyConfiguredOrThrow(Device& dev, const CompiledCircuit& c,
                              std::string_view context);
 
-/// Installs the process-wide Compiler post-relocate observer (idempotent):
-/// after every relocate(), when invariant checks are enabled
-/// (VFPGA_CHECK_INVARIANTS / setInvariantChecks), the relocated image is
-/// applied to a scratch device, extracted, and proven equivalent to the
-/// relocated mapped netlist. OsKernel installs this at construction.
-void installRelocateVerifier();
+/// Relocation with its post-condition: returns compiler.relocate(c, x0)
+/// and, when invariant checks are enabled (VFPGA_CHECK_INVARIANTS /
+/// setInvariantChecks) and the circuit actually moves, first applies the
+/// relocated image to a scratch device of the compiler's fabric and proves
+/// it equivalent to the relocated mapped netlist. Throws
+/// InvariantViolation when that proof fails.
+CompiledCircuit relocateProven(Compiler& compiler, const CompiledCircuit& c,
+                               std::uint16_t x0);
 
 }  // namespace vfpga::analysis::equiv

@@ -537,24 +537,33 @@ bool ClusterScheduler::settled() const {
 void ClusterScheduler::run() {
   if (started_) throw std::logic_error("ClusterScheduler: run() twice");
   started_ = true;
-  for (std::size_t d = 0; d < pool_->nodeCount(); ++d) {
-    pool_->node(d).kernel().start();
-  }
-  armTick();
-  if (monitor_.store != nullptr && monitor_.sampleInterval > 0) {
-    sim_->scheduleAfter(monitor_.sampleInterval, [this] { monitorTick(); });
-  }
-  if (analysis::invariantChecksEnabled()) {
-    while (sim_->step()) {
-      for (std::size_t d = 0; d < pool_->nodeCount(); ++d) {
-        pool_->node(d).kernel().checkInvariants();
-      }
+  try {
+    for (std::size_t d = 0; d < pool_->nodeCount(); ++d) {
+      pool_->node(d).kernel().start();
     }
-  } else {
-    sim_->run();
-  }
-  for (std::size_t d = 0; d < pool_->nodeCount(); ++d) {
-    pool_->node(d).kernel().finalize();
+    armTick();
+    if (monitor_.store != nullptr && monitor_.sampleInterval > 0) {
+      sim_->scheduleAfter(monitor_.sampleInterval, [this] { monitorTick(); });
+    }
+    if (analysis::invariantChecksEnabled()) {
+      while (sim_->step()) {
+        for (std::size_t d = 0; d < pool_->nodeCount(); ++d) {
+          pool_->node(d).kernel().checkInvariants();
+        }
+      }
+    } else {
+      sim_->run();
+    }
+    for (std::size_t d = 0; d < pool_->nodeCount(); ++d) {
+      pool_->node(d).kernel().finalize();
+    }
+  } catch (const analysis::InvariantViolation& v) {
+    // The nodes share one event loop and a migration spans two of them,
+    // so every node's recorder holds part of the story.
+    for (std::size_t d = 0; d < pool_->nodeCount(); ++d) {
+      dumpFlight(pool_->node(d).kernel().flightRecorder(), v);
+    }
+    throw;
   }
   finalizeResults();
 }

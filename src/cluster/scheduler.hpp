@@ -153,7 +153,9 @@ class ClusterScheduler {
   double liveRejectedFraction() const;
 
   /// Starts every kernel, drives the shared simulation to completion and
-  /// folds per-device results into the cluster metrics/report.
+  /// folds per-device results into the cluster metrics/report. An
+  /// InvariantViolation escaping the run is dumped into every node's
+  /// flight recorder, then rethrown.
   void run();
 
   struct Summary {

@@ -385,28 +385,7 @@ CompiledCircuit Compiler::relocate(const CompiledCircuit& c,
   }
 
   paintImage(r);
-  if (const Compiler::RelocateObserver& obs = relocateObserver()) {
-    obs(g, dev_->timing(), r.frameBits, c, r);
-  }
   return r;
-}
-
-namespace {
-Compiler::RelocateObserver& relocateObserverSlot() {
-  static Compiler::RelocateObserver obs;
-  return obs;
-}
-}  // namespace
-
-Compiler::RelocateObserver Compiler::setRelocateObserver(
-    RelocateObserver obs) {
-  RelocateObserver prev = std::move(relocateObserverSlot());
-  relocateObserverSlot() = std::move(obs);
-  return prev;
-}
-
-const Compiler::RelocateObserver& Compiler::relocateObserver() {
-  return relocateObserverSlot();
 }
 
 }  // namespace vfpga

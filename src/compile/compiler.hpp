@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,6 +99,7 @@ class Compiler {
   explicit Compiler(Device& target) : dev_(&target) {}
 
   const FabricGeometry& geometry() const { return dev_->geometry(); }
+  const DeviceTiming& timing() const { return dev_->timing(); }
 
   /// Netlist in, compiled circuit out. Throws CompileError when the region
   /// cannot fit the cells or I/O, or place-and-route fails after retries.
@@ -113,21 +113,12 @@ class Compiler {
 
   /// Retargets a relocatable circuit to the strip starting at column
   /// `newX0` by coordinate translation. Throws CompileError for
-  /// non-relocatable inputs or out-of-range targets.
+  /// non-relocatable inputs or out-of-range targets. Returns `c` unchanged
+  /// when `newX0` is already its column. The OS managers call it through
+  /// analysis::equiv::relocateProven, which also proves the result when
+  /// invariant checks are on (analysis links against this library, so the
+  /// proof cannot live here).
   CompiledCircuit relocate(const CompiledCircuit& c, std::uint16_t newX0);
-
-  /// Process-wide observer fired after every successful relocate() with
-  /// the target fabric parameters and the (original, relocated) pair.
-  /// Installed by the analysis layer (which links *against* this library,
-  /// so the compiler cannot call it directly) to prove the relocated image
-  /// still computes the source netlist; see
-  /// analysis/equiv/verify.hpp::installRelocateVerifier. Returns the
-  /// previous observer; pass {} to clear.
-  using RelocateObserver = std::function<void(
-      const FabricGeometry&, const DeviceTiming&, std::uint32_t frameBits,
-      const CompiledCircuit& original, const CompiledCircuit& relocated)>;
-  static RelocateObserver setRelocateObserver(RelocateObserver obs);
-  static const RelocateObserver& relocateObserver();
 
   /// Pad-slot capacity available to a compile in `region`.
   std::size_t ioCapacity(const Region& region, bool relocatable) const;

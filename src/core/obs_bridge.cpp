@@ -1,36 +1,17 @@
 #include "core/obs_bridge.hpp"
 
-#include <string_view>
-
-#include "analysis/diagnostics.hpp"
 #include "core/os_kernel.hpp"
-#include "obs/flight_recorder.hpp"
 
 namespace vfpga {
 
-namespace {
-
-std::string firstErrorRule(const analysis::Report& rep) {
-  for (const analysis::Diagnostic& d : rep.diagnostics()) {
-    if (d.severity == analysis::Severity::kError) return d.rule;
+void dumpFlight(obs::FlightRecorder& recorder,
+                const analysis::InvariantViolation& violation) {
+  try {
+    recorder.dump(violation.rule(), violation.context(),
+                  violation.reportJson());
+  } catch (...) {
+    // A broken dumper must not mask the violation being reported.
   }
-  return rep.diagnostics().empty() ? std::string("unknown")
-                                   : rep.diagnostics().front().rule;
-}
-
-}  // namespace
-
-void installFlightRecorderHook() {
-  static const bool installed = [] {
-    analysis::setInvariantFailureHook(
-        [](const analysis::Report& rep, std::string_view context) {
-          obs::FlightRecorder* fr = obs::FlightRecorder::global();
-          if (fr == nullptr) return;
-          fr->dump(firstErrorRule(rep), context, rep.renderJson());
-        });
-    return true;
-  }();
-  (void)installed;
 }
 
 void publishMetrics(const DynamicLoader& loader, obs::MetricsRegistry& reg,

@@ -3,9 +3,11 @@
 //  * publishMetrics(...) overloads snapshot each virtualization technique's
 //    counters into a MetricsRegistry under stable prometheus-style names
 //    (the `vfpga_cli report` exposition is built from these);
-//  * installFlightRecorderHook() wires analysis::throwIfErrors() to the
-//    process-wide obs::FlightRecorder, so an invariant violation under
-//    VFPGA_CHECK_INVARIANTS dumps a post-mortem bundle before throwing.
+//  * dumpFlight() writes an analysis::InvariantViolation into a kernel's
+//    own obs::FlightRecorder; OsKernel::run and ClusterScheduler::run call
+//    it on the way out, so an invariant violation under
+//    VFPGA_CHECK_INVARIANTS leaves a post-mortem bundle of the kernel(s)
+//    it happened in.
 //
 // This lives in core (not obs) because obs depends only on vfpga_sim; the
 // analysis- and manager-aware glue has to sit above both.
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/diagnostics.hpp"
 #include "core/dynamic_loader.hpp"
 #include "core/io_mux.hpp"
 #include "core/overlay_manager.hpp"
@@ -24,6 +27,7 @@
 #include "core/strip_allocator.hpp"
 #include "fabric/activity_probe.hpp"
 #include "fault/health_inputs.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/heatmap.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/monitor/health.hpp"
@@ -36,11 +40,11 @@ namespace vfpga {
 
 class OsKernel;
 
-/// Idempotent: installs (once per process) the analysis invariant-failure
-/// hook that dumps through obs::FlightRecorder::global(), when one is
-/// installed. The dump carries the first error rule ID, the context string
-/// and the report's JSON rendering.
-void installFlightRecorderHook();
+/// Dumps `violation` (its first error rule ID, context string and JSON
+/// report) into `recorder`. A failing dump is swallowed so it cannot mask
+/// the violation the caller is about to rethrow.
+void dumpFlight(obs::FlightRecorder& recorder,
+                const analysis::InvariantViolation& violation);
 
 void publishMetrics(const DynamicLoader& loader, obs::MetricsRegistry& reg,
                     obs::Labels labels = {});

@@ -78,15 +78,9 @@ OsKernel::OsKernel(Simulation& sim, Device& device, ConfigPort& port,
       gRelocations_(metricsRegistry_.gauge(
           "vfpga_os_relocations", policyLabels(options_.policy),
           "Resident circuits moved by compaction")) {
-  installFlightRecorderHook();
-  // Every relocate() this kernel triggers (partition load, GC compaction,
-  // quarantine evacuation) is formally re-proven against its mapped netlist
-  // when invariant checks are on.
-  analysis::equiv::installRelocateVerifier();
   flight_.attachTrace(&trace_);
   flight_.attachRegistry(&metricsRegistry_);
   flight_.attachSpans(&spans_);
-  obs::FlightRecorder::installGlobal(&flight_);
   if (options_.policy == FpgaPolicy::kPartitionedFixed ||
       options_.policy == FpgaPolicy::kPartitionedVariable) {
     PartitionManagerOptions po;
@@ -131,9 +125,6 @@ OsKernel::~OsKernel() {
   // The port may outlive this kernel (sequential kernels share one port);
   // do not leave a hook referencing a dead fault plan behind.
   if (tamperInstalled_) port_->setTamperHook(nullptr);
-  if (obs::FlightRecorder::global() == &flight_) {
-    obs::FlightRecorder::installGlobal(nullptr);
-  }
 }
 
 void OsKernel::bindFaultMetrics() {
@@ -368,13 +359,18 @@ void OsKernel::checkInvariants() const {
 }
 
 void OsKernel::run() {
-  start();
-  if (analysis::invariantChecksEnabled()) {
-    while (sim_->step()) checkInvariants();
-  } else {
-    sim_->run();
+  try {
+    start();
+    if (analysis::invariantChecksEnabled()) {
+      while (sim_->step()) checkInvariants();
+    } else {
+      sim_->run();
+    }
+    finalize();
+  } catch (const analysis::InvariantViolation& v) {
+    dumpFlight(flight_, v);
+    throw;
   }
-  finalize();
 }
 
 void OsKernel::setMonitorTick(SimDuration interval,

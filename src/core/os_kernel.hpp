@@ -138,7 +138,8 @@ class OsKernel {
   /// simulated event. Equivalent to start() + draining the simulation +
   /// finalize(); single-kernel callers use this, the cluster layer (which
   /// shares one Simulation between many kernels and owns the event loop)
-  /// calls the pieces.
+  /// calls the pieces. An InvariantViolation escaping the run is dumped
+  /// into this kernel's flight recorder, then rethrown.
   void run();
 
   /// Marks the kernel started and schedules its autonomous event sources
@@ -226,8 +227,8 @@ class OsKernel {
   /// download and garbage collection; tracks = task indices).
   const obs::SpanTracer& spanTracer() const { return spans_; }
   obs::SpanTracer& spanTracer() { return spans_; }
-  /// Post-mortem dumper; installed as the process-wide recorder while this
-  /// kernel is alive (last-constructed kernel wins).
+  /// Post-mortem dumper of this kernel: run() dumps an invariant
+  /// violation into it, and every park writes an FT_PARK bundle.
   obs::FlightRecorder& flightRecorder() { return flight_; }
   Simulation& sim() { return *sim_; }
   /// Measured clock period of a registered configuration.

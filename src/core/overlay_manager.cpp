@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "analysis/equiv/verify.hpp"
 #include "analysis/kernel_check.hpp"
 #include "compile/loaded_circuit.hpp"
 
@@ -33,11 +34,16 @@ SimDuration OverlayManager::installResident(const CompiledCircuit& common) {
   if (common.region.w > residentWidth_) {
     throw std::invalid_argument("common circuit exceeds resident strip");
   }
-  residentCircuit_ = compiler_->relocate(common, 0);
+  residentCircuit_ = analysis::equiv::relocateProven(*compiler_, common, 0);
+  // A serial port rewrites the whole device: the overlay columns come from
+  // the golden image, so a reinstall keeps the active overlay.
   const SimDuration t =
       port_->spec().partialReconfig
           ? port_->download(residentCircuit_->partialBitstream())
-          : port_->download(residentCircuit_->fullBitstream());
+          : port_->download(port_->columnsBitstream(
+                residentCircuit_->image, 0,
+                static_cast<std::uint16_t>(residentWidth_ - 1),
+                /*changedOnly=*/false));
   LoadedCircuit(*dev_, *residentCircuit_).applyInitialState();
   if (analysis::invariantChecksEnabled()) checkInvariants();
   return t;
@@ -48,7 +54,8 @@ OverlayId OverlayManager::addOverlay(const CompiledCircuit& circuit) {
     throw std::invalid_argument("overlay circuit exceeds overlay strip: " +
                                 circuit.name);
   }
-  overlays_.push_back(compiler_->relocate(circuit, residentWidth_));
+  overlays_.push_back(
+      analysis::equiv::relocateProven(*compiler_, circuit, residentWidth_));
   if (analysis::invariantChecksEnabled()) checkInvariants();
   return static_cast<OverlayId>(overlays_.size() - 1);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analysis/equiv/verify.hpp"
 #include "analysis/kernel_check.hpp"
 
 namespace vfpga {
@@ -56,7 +57,8 @@ std::optional<PartitionManager::LoadResult> PartitionManager::load(
 
   result.partition = *grant;
   const Strip& strip = alloc_.strip(*grant);
-  CompiledCircuit relocated = compiler_->relocate(canon, strip.x0);
+  CompiledCircuit relocated =
+      analysis::equiv::relocateProven(*compiler_, canon, strip.x0);
   const DlOutcome dl = downloadInto(relocated);
   result.cost = dl.time;
   result.retries = dl.retries;
@@ -152,7 +154,7 @@ SimDuration PartitionManager::relocateOccupant(Occupant& occ,
   // occupant after packing), then download at the new location.
   cost += blankColumns(
       fromX0, static_cast<std::uint16_t>(fromX0 + occ.circuit.region.w - 1));
-  occ.circuit = compiler_->relocate(occ.circuit, toX0);
+  occ.circuit = analysis::equiv::relocateProven(*compiler_, occ.circuit, toX0);
   ++relocationsDone_;
   if (sink_) {
     sink_(TraceKind::kRelocate, occ.circuit.name + ": x" +

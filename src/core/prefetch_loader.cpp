@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analysis/equiv/verify.hpp"
+
 namespace vfpga {
 
 PrefetchLoader::PrefetchLoader(Device& device, ConfigPort& port,
@@ -28,9 +30,10 @@ const CompiledCircuit& PrefetchLoader::circuitIn(ConfigId id, int half) {
           canon.name);
     }
     it = relocated_
-             .emplace(key, compiler_->relocate(
-                               canon, static_cast<std::uint16_t>(
-                                          half == 0 ? 0 : halfWidth_)))
+             .emplace(key, analysis::equiv::relocateProven(
+                               *compiler_, canon,
+                               static_cast<std::uint16_t>(
+                                   half == 0 ? 0 : halfWidth_)))
              .first;
   }
   return it->second;

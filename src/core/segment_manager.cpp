@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "analysis/equiv/verify.hpp"
 #include "analysis/kernel_check.hpp"
 
 namespace vfpga {
@@ -97,8 +98,8 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
       for (const auto& move : alloc_.compact()) {
         for (auto& [seg, res] : residency_) {
           if (res.strip != move.id) continue;
-          CompiledCircuit moved =
-              compiler_->relocate(segments_[seg], move.toX0);
+          CompiledCircuit moved = analysis::equiv::relocateProven(
+              *compiler_, segments_[seg], move.toX0);
           r.cost += port_->download(moved.partialBitstream());
         }
       }
@@ -106,7 +107,8 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
     grant = alloc_.allocate(width);
   }
   const Strip& strip = alloc_.strip(*grant);
-  CompiledCircuit placed = compiler_->relocate(segments_[id], strip.x0);
+  CompiledCircuit placed =
+      analysis::equiv::relocateProven(*compiler_, segments_[id], strip.x0);
   r.cost += port_->download(placed.partialBitstream());
   residency_[id] = Residency{*grant, clock_, clock_};
   if (analysis::invariantChecksEnabled()) checkInvariants();

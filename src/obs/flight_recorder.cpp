@@ -13,8 +13,6 @@ namespace vfpga::obs {
 
 namespace {
 
-FlightRecorder* g_recorder = nullptr;
-
 std::string sanitize(std::string_view s) {
   std::string out;
   for (char c : s) {
@@ -123,13 +121,5 @@ std::string FlightRecorder::dump(std::string_view ruleId,
   ++dumps_;
   return path;
 }
-
-FlightRecorder* FlightRecorder::installGlobal(FlightRecorder* recorder) {
-  FlightRecorder* prev = g_recorder;
-  g_recorder = recorder;
-  return prev;
-}
-
-FlightRecorder* FlightRecorder::global() { return g_recorder; }
 
 }  // namespace vfpga::obs

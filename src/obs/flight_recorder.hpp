@@ -3,11 +3,13 @@
 // records, a snapshot of the metrics registry, recent spans and the full
 // diagnostic report — so the failure can be studied without re-running.
 //
+// Each OsKernel owns one recorder; there is no process-wide instance.
+//
 // Layering: this library depends only on vfpga_sim, so `dump()` takes the
-// diagnostics as a pre-rendered JSON string. The glue that installs a
-// recorder as the analysis layer's invariant-failure hook lives with the
-// callers (OsKernel, vfpga_cli), keeping obs free of an analysis -> compile
-// -> obs dependency cycle.
+// diagnostics as a pre-rendered JSON string. The glue that turns an
+// analysis::InvariantViolation into a dump (core/obs_bridge.hpp::dumpFlight)
+// lives above both, keeping obs free of an analysis -> compile -> obs
+// dependency cycle.
 #pragma once
 
 #include <cstddef>
@@ -67,11 +69,6 @@ class FlightRecorder {
 
   std::size_t dumpCount() const { return dumps_; }
   const Options& options() const { return options_; }
-
-  /// Process-wide recorder slot for hook glue; not owned. Returns the
-  /// previous occupant.
-  static FlightRecorder* installGlobal(FlightRecorder* recorder);
-  static FlightRecorder* global();
 
  private:
   Options options_;

@@ -54,9 +54,20 @@ TEST(Diagnostics, UnregisteredRuleIdBecomesError) {
 
 TEST(Diagnostics, ThrowIfErrorsRaisesInvariantViolation) {
   Report rep;
+  rep.add("NL006", "unused input");  // a warning ahead of the errors
   rep.add("AL002", "seeded");
-  EXPECT_THROW(analysis::throwIfErrors(rep, "test"),
-               analysis::InvariantViolation);
+  rep.add("AL003", "seeded too");
+  try {
+    analysis::throwIfErrors(rep, "test");
+    ADD_FAILURE() << "no InvariantViolation";
+  } catch (const analysis::InvariantViolation& v) {
+    // What a post-mortem dump needs travels with the exception.
+    EXPECT_EQ(v.rule(), "AL002");
+    EXPECT_EQ(v.context(), "test");
+    EXPECT_EQ(v.reportJson(), rep.renderJson());
+    EXPECT_EQ(std::string(v.what()),
+              "invariant violation in test:\n" + rep.renderText());
+  }
   Report warnOnly;
   warnOnly.add("NL006", "unused input");  // warning severity: must not throw
   EXPECT_NO_THROW(analysis::throwIfErrors(warnOnly, "test"));

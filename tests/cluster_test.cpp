@@ -4,9 +4,12 @@
 // (snapshot -> move -> resume must be bit-identical to an uninterrupted
 // run, for both a cooperative hand-off and a quarantine-forced
 // relocation), the kernel migration ticket, and the cluster scheduler
-// (determinism, backpressure, drain, transient-fault failback, CL rules).
+// (determinism, backpressure, drain, transient-fault failback, post-mortem
+// dumps on every node, CL rules).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -319,9 +322,8 @@ struct CampaignRun {
   std::unique_ptr<cluster::ClusterScheduler> sched;
 };
 
-/// Builds + runs one seeded campaign; identical configs must yield
-/// byte-identical reports.
-std::unique_ptr<CampaignRun> runCampaign(const CampaignConfig& cfg) {
+/// Builds one seeded campaign, ready to run.
+std::unique_ptr<CampaignRun> buildCampaign(const CampaignConfig& cfg) {
   auto run = std::make_unique<CampaignRun>();
   std::vector<cluster::DeviceNodeSpec> specs(cfg.devices);
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -351,6 +353,13 @@ std::unique_ptr<CampaignRun> runCampaign(const CampaignConfig& cfg) {
                CpuBurst{micros(5)}};
     run->sched->submit(std::move(job));
   }
+  return run;
+}
+
+/// Builds + runs one seeded campaign; identical configs must yield
+/// byte-identical reports.
+std::unique_ptr<CampaignRun> runCampaign(const CampaignConfig& cfg) {
+  auto run = buildCampaign(cfg);
   run->sched->run();
   return run;
 }
@@ -423,6 +432,28 @@ TEST(ClusterScheduler, TransientFaultHealsAndWorkFlowsBack) {
   ASSERT_NE(pm, nullptr);
   EXPECT_EQ(pm->ftStats().stripsHealed, 1u);
   EXPECT_EQ(pm->allocator().quarantinedColumns(), 0);
+}
+
+// The nodes share one event loop, so a violation anywhere in the run is
+// dumped into every node's own recorder.
+TEST(ClusterScheduler, InvariantViolationDumpsEveryNodesRecorder) {
+  const std::string dir = ::testing::TempDir() + "/vfpga_cluster_dump";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  setenv("VFPGA_FLIGHT_DIR", dir.c_str(), 1);
+
+  auto run = buildCampaign(CampaignConfig{});
+  run->sim.scheduleAt(micros(400), [] {
+    analysis::Report rep;
+    rep.add("AL002", "seeded zero-width strip");
+    analysis::throwIfErrors(rep, "cluster_test seeded event");
+  });
+  EXPECT_THROW(run->sched->run(), analysis::InvariantViolation);
+  for (std::size_t d = 0; d < run->pool->nodeCount(); ++d) {
+    SCOPED_TRACE(run->pool->node(d).name());
+    EXPECT_EQ(run->pool->node(d).kernel().flightRecorder().dumpCount(), 1u);
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir + "/vfpga_flight_AL002_0.json"));
 }
 
 // ---- transient heal / repair primitives ------------------------------------

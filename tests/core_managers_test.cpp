@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 
+#include "analysis/diagnostics.hpp"
 #include "core/dynamic_loader.hpp"
 #include "core/overlay_manager.hpp"
 #include "core/partition_manager.hpp"
@@ -406,6 +407,73 @@ TEST_F(ManagerTest, SegmentLruKeepsHotSegmentResident) {
   EXPECT_EQ(hotFaults, 0u);  // LRU never evicts the hot segment
 }
 
+// --------------------------------------------------- proven relocations
+
+/// Turns invariant checks on for one scope, then restores the setting.
+struct ChecksOn {
+  ChecksOn() : was(analysis::invariantChecksEnabled()) {
+    analysis::setInvariantChecks(true);
+  }
+  ~ChecksOn() { analysis::setInvariantChecks(was); }
+  bool was;
+};
+
+/// `c` with two combinational LUT cells of different tables swapped between
+/// their sites: the image still decodes, but computes something else.
+CompiledCircuit withSwappedLuts(CompiledCircuit c) {
+  const std::vector<MappedCell>& cells = c.mapped.cells;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    for (std::size_t j = i + 1; j < cells.size(); ++j) {
+      if (cells[i].hasFf || cells[j].hasFf ||
+          cells[i].lutTable == cells[j].lutTable) {
+        continue;
+      }
+      std::swap(c.placement.sites[i], c.placement.sites[j]);
+      return c;
+    }
+  }
+  ADD_FAILURE() << c.name << ": no two combinational cells differ";
+  return c;
+}
+
+// No OsKernel exists in this test: each manager proves its own relocations.
+TEST_F(ManagerTest, EveryManagerRelocationIsProvenWithoutAKernel) {
+  ChecksOn checks;
+  Netlist nl = lib::makeChecksum(6);
+  nl.setName("moved");
+  // Compiled at column 2, so every manager below has to move it.
+  const CompiledCircuit good =
+      compiler_.compile(nl, Region::columns(dev_.geometry(), 2, 4));
+  // Relocates `c` once through each manager path; returns how many of the
+  // five relocations failed their proof.
+  auto failedProofs = [&](const CompiledCircuit& c) {
+    int failed = 0;
+    auto expectProof = [&failed](auto&& relocating) {
+      try {
+        relocating();
+      } catch (const analysis::InvariantViolation& v) {
+        EXPECT_EQ(v.context(), "Compiler::relocate post-condition");
+        ++failed;
+      }
+    };
+    SegmentManager sm(dev_, port_, compiler_, ReplacementPolicy::kFifo);
+    const SegmentId seg = sm.addSegment(c);
+    expectProof([&] { sm.access(seg); });
+    OverlayManager om(dev_, port_, compiler_, 4);
+    expectProof([&] { om.installResident(c); });
+    expectProof([&] { om.addOverlay(c); });
+    ConfigRegistry reg;
+    const ConfigId id = reg.add(c);
+    PartitionManager pm(dev_, port_, reg, compiler_);
+    expectProof([&] { pm.load(id); });
+    PrefetchLoader pl(dev_, port_, reg, compiler_);
+    expectProof([&] { pl.activate(id, 0); });
+    return failed;
+  };
+  EXPECT_EQ(failedProofs(good), 0);
+  EXPECT_EQ(failedProofs(withSwappedLuts(good)), 5);
+}
+
 // ------------------------------------------ column-range rewrite paths
 
 /// One device of a profile with its port, compiler and registry.
@@ -658,6 +726,30 @@ TEST(ColumnRewritePaths, OverlaySwapKeepsResidentUpsetOutOfGoldenImage) {
     EXPECT_EQ(r.dev.image().get(bit), partial ? !intended : intended);
     EXPECT_EQ(r.port.scrub().repairedFrames, partial ? 1u : 0u);
     EXPECT_EQ(r.dev.image().get(bit), intended);
+  }
+}
+
+// Reinstalling the resident rewrites only the resident strip: the active
+// overlay stays configured, so the hit the next invoke reports is real.
+TEST(ColumnRewritePaths, ReinstallingTheResidentKeepsTheActiveOverlay) {
+  for (const DeviceProfile& prof :
+       {mediumPartialProfile(), mediumSerialProfile()}) {
+    SCOPED_TRACE(prof.name);
+    Rig r(prof);
+    OverlayManager om(r.dev, r.port, r.compiler, 4);
+    const CompiledCircuit common =
+        r.compile(lib::makeChecksum(6), "common", 4);
+    om.installResident(common);
+    const OverlayId o1 = om.addOverlay(r.compile(lib::makeCounter(6), "f1", 4));
+    om.invoke(o1);
+    const ConfigImage before = r.dev.image();
+    om.installResident(common);
+    std::uint32_t changed = 0;
+    for (std::uint32_t b = 0; b < before.size(); ++b) {
+      changed += r.dev.image().get(b) != before.get(b) ? 1 : 0;
+    }
+    EXPECT_EQ(changed, 0u) << "bits the reinstall changed";
+    EXPECT_FALSE(om.invoke(o1).loaded);
   }
 }
 

@@ -1,6 +1,6 @@
 // Observability substrate: span tracer, metrics registry, exporters
 // (Chrome trace_event, Prometheus text exposition, CSV) and the flight
-// recorder, including the analysis-hook glue in core/obs_bridge.
+// recorder, including the kernel's own post-mortem dump (core/obs_bridge).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 
 #include "analysis/diagnostics.hpp"
 #include "core/obs_bridge.hpp"
+#include "core/os_kernel.hpp"
 #include "fabric/device_family.hpp"
 #include "netlist/library/control.hpp"
 #include "obs/exporters.hpp"
@@ -340,39 +341,69 @@ TEST(FlightRecorder, BundleCarriesRuleTraceTailAndMetrics) {
   EXPECT_EQ(doc.at("metrics").asArray().size(), 1u);
 }
 
-TEST(FlightRecorder, SeededInvariantFailureDumpsThroughTheHook) {
-  const std::string dir = ::testing::TempDir();
-  obs::FlightRecorder::Options opt;
-  opt.directory = dir;
-  opt.prefix = "obs_test_flight";
-  obs::FlightRecorder fr(opt);
-  Trace ring;
-  ring.record(1, TraceKind::kGarbageCollect, "before failure");
-  fr.attachTrace(&ring);
+/// A kernel on its own medium device running one counter task named
+/// `task`, so its trace records say whose they are.
+struct KernelRig {
+  explicit KernelRig(const std::string& task)
+      : profile(mediumPartialProfile()), dev(profile.makeDevice()),
+        port(dev, profile.port), compiler(dev),
+        kernel(sim, dev, port, compiler, OsOptions{}) {
+    Netlist nl = lib::makeCounter(6);
+    nl.setName(task + "_cfg");
+    const ConfigId cfg = kernel.registerConfig(
+        compiler.compile(nl, Region::columns(dev.geometry(), 0, 4)));
+    TaskSpec t;
+    t.name = task;
+    t.ops = {CpuBurst{micros(20)}, FpgaExec{cfg, 5000}, CpuBurst{micros(20)}};
+    kernel.addTask(std::move(t));
+  }
+  DeviceProfile profile;
+  Device dev;
+  ConfigPort port;
+  Compiler compiler;
+  Simulation sim;
+  OsKernel kernel;
+};
 
-  installFlightRecorderHook();
-  obs::FlightRecorder* prev = obs::FlightRecorder::installGlobal(&fr);
+TEST(FlightRecorder, InvariantViolationDumpsTheFailingKernelsOwnRecorder) {
+  const std::string dir = ::testing::TempDir() + "/vfpga_own_recorder";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  setenv("VFPGA_FLIGHT_DIR", dir.c_str(), 1);
 
-  // Seed a defect the way a manager's verifier would report it.
-  analysis::Report rep;
-  rep.add("AL002", "seeded zero-width strip");
-  EXPECT_THROW(analysis::throwIfErrors(rep, "obs_test"),
-               analysis::InvariantViolation);
+  KernelRig failing("victim");
+  // Seed a defect the way a manager's verifier would report it, from a
+  // monitor tick of the failing kernel.
+  failing.kernel.setMonitorTick(micros(100), [](SimTime at) {
+    if (at < micros(300)) return;
+    analysis::Report rep;
+    rep.add("AL002", "seeded zero-width strip");
+    analysis::throwIfErrors(rep, "obs_test monitor tick");
+  });
+  // Constructed last and alive throughout: a process-wide recorder slot
+  // would point here.
+  KernelRig bystander("bystander");
+  bystander.kernel.run();
 
-  obs::FlightRecorder::installGlobal(prev);
-  ASSERT_EQ(fr.dumpCount(), 1u);
+  EXPECT_THROW(failing.kernel.run(), analysis::InvariantViolation);
+  EXPECT_EQ(failing.kernel.flightRecorder().dumpCount(), 1u);
+  EXPECT_EQ(bystander.kernel.flightRecorder().dumpCount(), 0u);
 
-  // The bundle landed in `dir` and names the firing rule.
-  const std::string path = dir + "/obs_test_flight_AL002_0.json";
+  const std::string path = dir + "/vfpga_flight_AL002_0.json";
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << "expected bundle at " << path;
   std::stringstream buf;
   buf << in.rdbuf();
   const obs::JsonValue doc = obs::JsonValue::parse(buf.str());
   EXPECT_EQ(doc.at("rule_id").asString(), "AL002");
-  EXPECT_EQ(doc.at("context").asString(), "obs_test");
+  EXPECT_EQ(doc.at("context").asString(), "obs_test monitor tick");
   ASSERT_TRUE(doc.at("diagnostics").isObject());
   EXPECT_NE(buf.str().find("seeded zero-width strip"), std::string::npos);
+  // The trace tail is the failing kernel's own.
+  ASSERT_TRUE(doc.at("trace_tail").isArray());
+  ASSERT_FALSE(doc.at("trace_tail").asArray().empty());
+  EXPECT_NE(buf.str().find("victim"), std::string::npos);
+  EXPECT_EQ(buf.str().find("bystander"), std::string::npos);
 }
 
 TEST(Histogram, PercentileEmptySingleAndDuplicateHeavy) {

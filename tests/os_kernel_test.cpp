@@ -4,11 +4,13 @@
 // for (E2-E5 quantify them in bench/).
 #include <gtest/gtest.h>
 
+#include "analysis/diagnostics.hpp"
 #include "core/os_kernel.hpp"
 #include "fabric/device_family.hpp"
 #include "netlist/library/coding.hpp"
 #include "netlist/library/control.hpp"
 #include "netlist/library/datapath.hpp"
+#include "sim/parallel.hpp"
 #include "workloads/taskset.hpp"
 
 namespace vfpga {
@@ -278,6 +280,42 @@ TEST(OsKernel, GarbageCollectionTriggersUnderChurn) {
   EXPECT_EQ(m.tasksFinished, 3u);
   EXPECT_GE(m.garbageCollections, 1u);
   EXPECT_GE(m.relocations, 1u);
+}
+
+// Independent kernels share no mutable state: eight churning kernels on
+// four worker threads, invariant checks and relocation proofs on, give
+// exactly the serial pass's results. The CI TSan job runs this test.
+TEST(OsKernel, IndependentKernelsRunConcurrently) {
+  // The GC scenario above, its long task stretched by kernel index.
+  auto churn = [](std::size_t i) {
+    OsOptions opt;
+    opt.policy = FpgaPolicy::kPartitionedVariable;
+    Bench b(opt, 0);
+    auto makeCfg = [&](const std::string& name, std::uint16_t w) {
+      Netlist nl = lib::makeChecksum(4);
+      nl.setName(name);
+      return b.kernel.registerConfig(b.compiler.compile(
+          nl, Region::columns(b.dev.geometry(), 0, w)));
+    };
+    const ConfigId c4a = makeCfg("w4a", 4);
+    const ConfigId c4b = makeCfg("w4b", 4);
+    const ConfigId c6 = makeCfg("w6", 6);
+    b.kernel.addTask(simpleTask("short", 0, c4a, 1000));
+    b.kernel.addTask(simpleTask("long", 0, c4b, 2000000 + 100000 * i));
+    b.kernel.addTask(simpleTask("wide", millis(2), c6, 1000));
+    b.kernel.run();
+    const OsMetrics& m = b.kernel.metrics();
+    return std::vector<std::uint64_t>{m.tasksFinished, m.makespan,
+                                      m.downloads,     m.bitsDownloaded,
+                                      m.garbageCollections, m.relocations};
+  };
+  const bool was = analysis::invariantChecksEnabled();
+  analysis::setInvariantChecks(true);
+  const auto serial = parallelMap<std::vector<std::uint64_t>>(8, churn, 1);
+  const auto parallel = parallelMap<std::vector<std::uint64_t>>(8, churn, 4);
+  analysis::setInvariantChecks(was);
+  EXPECT_EQ(parallel, serial);
+  for (const auto& r : serial) EXPECT_GE(r[5], 1u) << "no relocation";
 }
 
 TEST(OsKernel, GcDisabledStarvesWideTask) {

@@ -322,25 +322,19 @@ int monitorCmd(const Args& a) {
     if (!lintClean(rep)) return 1;
   }
 
-  // Alert transitions land on dev0's span track and in the flight
+  // Alert transitions land on dev0's span track and in its flight
   // recorder's note ring, so a post-mortem shows what was firing.
-  obs::FlightRecorder::Options fro;
-  fro.directory = obs::outputDir();
-  obs::FlightRecorder recorder(fro);
-  obs::FlightRecorder* prevRecorder =
-      obs::FlightRecorder::installGlobal(&recorder);
   engine.setTransitionObserver(
       [&run](const obs::monitor::AlertTransition& t) {
-        run.pool.node(0).kernel().spanTracer().instantAt(
+        OsKernel& dev0 = run.pool.node(0).kernel();
+        dev0.spanTracer().instantAt(
             t.atNs, "alert/" + t.rule, "monitor.alert",
             {{"rule", t.rule},
              {"to", t.to},
              {"severity", obs::monitor::alertSeverityName(t.severity)},
              {"value", obs::monitor::formatSampleValue(t.value)}},
             0);
-        if (obs::FlightRecorder* fr = obs::FlightRecorder::global()) {
-          fr->note(t.atNs, "alert " + t.rule + " -> " + t.to);
-        }
+        dev0.flightRecorder().note(t.atNs, "alert " + t.rule + " -> " + t.to);
       });
 
   cluster::ClusterScheduler::MonitorAttachment mon;
@@ -367,7 +361,6 @@ int monitorCmd(const Args& a) {
   }
 
   sched.run();
-  obs::FlightRecorder::installGlobal(prevRecorder);
 
   const obs::monitor::DashboardInput in = dashboard(
       "vfpga monitor - degradation campaign, seed " + std::to_string(seed),
