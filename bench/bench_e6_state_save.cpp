@@ -23,6 +23,7 @@ using namespace vfpga::bench;
 
 int main() {
   DeviceProfile prof = mediumPartialProfile();
+  BenchJson json("e6_state_save");
 
   tableHeader("E6", "state save/restore cost vs circuit FF count");
   std::printf("%-14s %6s %12s %12s %16s\n", "circuit", "FFs", "save_us",
@@ -60,6 +61,12 @@ int main() {
     std::printf("%-14s %6zu %12.2f %12.2f %16.3f\n",
                 ("shift" + std::to_string(bits)).c_str(), bits,
                 toMicroseconds(away.saveTime), toMicroseconds(back.restoreTime),
+                toMilliseconds(away.total + back.total));
+    const obs::Labels l{{"ffs", std::to_string(bits)}};
+    json.sample("vfpga_bench_e6_save_us", l, toMicroseconds(away.saveTime));
+    json.sample("vfpga_bench_e6_restore_us", l,
+                toMicroseconds(back.restoreTime));
+    json.sample("vfpga_bench_e6_switch_total_ms", l,
                 toMilliseconds(away.total + back.total));
   }
 
@@ -115,6 +122,14 @@ int main() {
                 "B->A %.3f ms incl. %.1f us restore)\n",
                 toMilliseconds(swAB), toMicroseconds(aToB.saveTime),
                 toMilliseconds(swBA), toMicroseconds(bToA.restoreTime));
+    json.sample("vfpga_bench_e6_preempt_switch_ms", {{"dir", "a_to_b"}},
+                toMilliseconds(swAB));
+    json.sample("vfpga_bench_e6_preempt_switch_ms", {{"dir", "b_to_a"}},
+                toMilliseconds(swBA));
+    json.sample("vfpga_bench_e6_preempt_save_us", {},
+                toMicroseconds(aToB.saveTime));
+    json.sample("vfpga_bench_e6_preempt_restore_us", {},
+                toMicroseconds(bToA.restoreTime));
   }
   std::printf("\nreading: save/restore cost scales linearly with FF count "
               "and stays in microseconds, so A's completion is independent "
@@ -122,5 +137,6 @@ int main() {
               "is re-executed (A_done_rb grows with progress); refusing "
               "preemption protects A but ruins B's response time — the "
               "three-way trade §3 lays out.\n");
+  json.write();
   return 0;
 }

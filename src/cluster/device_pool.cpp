@@ -29,6 +29,9 @@ DeviceNode::DeviceNode(Simulation& sim, const DeviceNodeSpec& spec,
               withFaults(options, plan_.get(), spec.scrubInterval)),
       heatmap_(profile_.geometry.cols) {
   kernel_.attachHeatmap(&heatmap_);
+  // Every node numbers its bundles from 0: name them apart so that a
+  // cluster-wide dump keeps each node's.
+  kernel_.flightRecorder().options().prefix = "vfpga_flight_" + name_;
 }
 
 std::uint16_t DeviceNode::usableColumns() const {

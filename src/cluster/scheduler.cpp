@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 #include <variant>
 
 #include "analysis/diagnostics.hpp"
@@ -196,34 +197,15 @@ void ClusterScheduler::submit(ClusterJobSpec job) {
 
 std::size_t ClusterScheduler::submitFromCheckpoint(
     const fault::TaskCheckpoint& ck, SimTime submitAt) {
-  ClusterJobSpec job;
-  job.name = ck.task;
-  job.submitAt = submitAt;
-  job.priority = ck.priority;
   // Workload registration order is identical on every kernel, so node 0's
   // registry resolves names to the cluster-wide ids.
-  ConfigRegistry& registry = pool_->node(0).kernel().registry();
-  for (const fault::CheckpointOp& op : ck.ops) {
-    if (op.isFpga) {
-      const WorkloadId id = registry.byName(op.config);
-      if (id == kNoConfig) {
-        throw std::runtime_error("checkpoint restore: workload '" +
-                                 op.config + "' is not registered on this "
-                                 "pool");
-      }
-      if (pool_->workloadWidth(id) != op.configWidth) {
-        throw std::runtime_error(
-            "checkpoint restore: workload '" + op.config +
-            "' congruence violation (checkpointed width " +
-            std::to_string(op.configWidth) + ", pool width " +
-            std::to_string(pool_->workloadWidth(id)) + ")");
-      }
-      job.ops.push_back(FpgaExec{id, op.cycles});
-    } else {
-      job.ops.push_back(CpuBurst{op.cpuNs});
-    }
-  }
-  job.migratedStateBits = ck.registers.size();
+  TaskSpec ts = checkpointedTask(ck, pool_->node(0).kernel().registry());
+  ClusterJobSpec job;
+  job.name = std::move(ts.name);
+  job.submitAt = submitAt;
+  job.priority = ts.priority;
+  job.ops = std::move(ts.ops);
+  job.migratedState = std::move(ts.migratedState);
   const std::size_t j = jobs_.size();
   submit(std::move(job));
   return j;
@@ -368,8 +350,7 @@ void ClusterScheduler::place(std::size_t j, std::size_t d) {
   ts.ops = job.spec.ops;
   // Continuation of a checkpointed task: the snapshot's writeback is
   // charged once, at this placement's first grant.
-  ts.migratedStateBits = job.spec.migratedStateBits;
-  job.spec.migratedStateBits = 0;
+  ts.migratedState = std::exchange(job.spec.migratedState, {});
   node.kernel().addTask(std::move(ts));
   taskJob_[d].push_back(j);
   job.state = JobState::kPlaced;

@@ -48,10 +48,10 @@ struct ClusterJobSpec {
   SimTime submitAt = 0;
   int priority = 0;  ///< higher places first (FIFO among equals)
   std::vector<TaskOp> ops;  ///< FpgaExec.config holds a WorkloadId
-  /// Nonzero for the continuation of a checkpointed (or externally
-  /// migrated) task: register bits written back through the target's
-  /// configuration port at its first grant.
-  std::uint64_t migratedStateBits = 0;
+  /// Non-empty for the continuation of a checkpointed (or externally
+  /// migrated) task: the register snapshot written back through the
+  /// target's configuration port at its first grant.
+  std::vector<bool> migratedState;
 };
 
 /// Service-level objectives the campaign is graded against.
@@ -112,10 +112,8 @@ class ClusterScheduler {
   /// `submitAt`: each FPGA op's circuit name is resolved to the pool-wide
   /// workload id (every kernel registered workloads in the same order) and
   /// the register snapshot rides in as migrated state, so placement may
-  /// pick *any* congruent device. Throws std::runtime_error when a name is
-  /// unknown to the pool or the registered strip width differs from the
-  /// checkpointed one (congruence violation — a diagnosed rejection, never
-  /// a silent wrong restore). Returns the job index.
+  /// pick *any* congruent device. Throws std::runtime_error on a
+  /// congruence violation (see checkpointedTask()). Returns the job index.
   std::size_t submitFromCheckpoint(const fault::TaskCheckpoint& ck,
                                    SimTime submitAt);
 

@@ -48,11 +48,6 @@ void LoadedCircuit::restoreState(const std::vector<bool>& mappedOrderState) {
   }
 }
 
-void LoadedCircuit::applyInitialState() {
-  for (std::size_t i = 0; i < c_->ffSites.size(); ++i) {
-    dev_->setFfStateAt(c_->ffSites[i].x, c_->ffSites[i].y,
-                       c_->initialState[i]);
-  }
-}
+void LoadedCircuit::applyInitialState() { restoreState(c_->initialState); }
 
 }  // namespace vfpga

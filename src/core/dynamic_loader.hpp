@@ -12,15 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "compile/loaded_circuit.hpp"
+#include "core/circuit_io.hpp"
 #include "core/config_registry.hpp"
-#include "fabric/config_port.hpp"
-#include "fault/fault_plan.hpp"
-#include "fault/recovery.hpp"
 
 namespace vfpga {
 
@@ -36,10 +32,7 @@ class DynamicLoader {
     SimDuration restoreTime = 0;
     bool downloaded = false;
     bool restoredSavedState = false;
-    int retries = 0;             ///< download retries this switch
-    std::uint64_t aborts = 0;    ///< truncated transfers this switch
     bool downloadFailed = false; ///< retry budget exhausted, config bad
-    bool stateCorrupt = false;   ///< saved state failed its CRC; restarted
   };
 
   struct Stats {
@@ -78,16 +71,11 @@ class DynamicLoader {
   void setFaultPlan(fault::FaultPlan* plan) { plan_ = plan; }
 
  private:
-  struct Saved {
-    std::vector<bool> bits;
-    std::uint16_t crc = 0;
-  };
-
   Device* dev_;
   ConfigPort* port_;
   ConfigRegistry* registry_;
   ConfigId current_ = kNoConfig;
-  std::unordered_map<ConfigId, Saved> savedStates_;
+  std::unordered_map<ConfigId, SealedState> savedStates_;
   Stats stats_;
   fault::RecoveryOptions recovery_;
   fault::FaultPlan* plan_ = nullptr;

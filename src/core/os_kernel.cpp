@@ -4,9 +4,11 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/equiv/verify.hpp"
 #include "analysis/kernel_check.hpp"
+#include "core/circuit_io.hpp"
 #include "core/obs_bridge.hpp"
 
 namespace vfpga {
@@ -382,14 +384,13 @@ void OsKernel::setMonitorTick(SimDuration interval,
   monitorHook_ = std::move(hook);
 }
 
+bool OsKernel::allTasksTerminal() const {
+  return std::all_of(tasks_.begin(), tasks_.end(),
+                     [](const TaskRuntime& tr) { return tr.terminal(); });
+}
+
 void OsKernel::monitorTick() {
-  bool allDone = true;
-  for (const TaskRuntime& tr : tasks_) {
-    if (!tr.terminal()) {
-      allDone = false;
-      break;
-    }
-  }
+  const bool allDone = allTasksTerminal();
   if (monitorHook_) monitorHook_(sim_->now());
   // One final sample once everything is terminal, then stop rescheduling
   // so the simulation can drain (same idiom as scrubTick).
@@ -901,17 +902,18 @@ void OsKernel::tryDispatchPartitioned() {
         // completions by the GC time.
         stallRunningExecs(load->gcCost);
       }
-      if (tr.spec.migratedStateBits > 0) {
+      if (!tr.spec.migratedState.empty()) {
         // Continuation of a live-migrated task: write the snapshot taken
         // at the source back through the port before the circuit computes.
-        const SimDuration restore = port_->chargeStateWrite(
-            static_cast<std::size_t>(tr.spec.migratedStateBits));
+        const SimDuration restore =
+            restoreRegisters(*dev_, *port_, pm_->circuitIn(load->partition),
+                             tr.spec.migratedState);
         cStateMoveNs_ += restore;
         portFreeAt_ += restore;
-        tr.configBitsWritten += tr.spec.migratedStateBits;
+        tr.configBitsWritten += tr.spec.migratedState.size();
         trace_.record(sim_->now(), TraceKind::kStateRestore,
                       tr.spec.name + " (migrated in)");
-        tr.spec.migratedStateBits = 0;
+        tr.spec.migratedState.clear();
         if (analysis::invariantChecksEnabled()) {
           // Migration resume is a corruption entry point: the image crossed
           // devices and the state crossed the wire. Re-prove the configured
@@ -991,10 +993,23 @@ std::vector<std::size_t> OsKernel::migratableTasks() const {
   return out;
 }
 
+std::uint64_t OsKernel::cyclesOwed(const RunningExec& re, ConfigId config,
+                                   std::uint64_t cap) const {
+  const SimDuration period = clockPeriods_.at(config);
+  const SimTime now = sim_->now();
+  std::uint64_t owed = 0;
+  if (re.deadline > now && period > 0) {
+    owed = (re.deadline - now + period - 1) / period;
+  }
+  owed = std::min(owed, cap);
+  return owed == 0 ? 1 : owed;
+}
+
 OsKernel::MigrationTicket OsKernel::extractForMigration(std::size_t t) {
   if (!pm_) throw std::logic_error("migration needs a partitioned policy");
   TaskRuntime& tr = task(t);
   MigrationTicket ticket;
+  std::vector<bool> registers;
   if (tr.state == TaskState::kWaitingFpga) {
     const auto it = std::find(fpgaWaiting_.begin(), fpgaWaiting_.end(), t);
     if (it == fpgaWaiting_.end()) {
@@ -1012,25 +1027,14 @@ OsKernel::MigrationTicket OsKernel::extractForMigration(std::size_t t) {
           "running task has no completion in flight (hung executions "
           "cannot migrate)");
     }
-    // Whole cycles still owed when the execution is cut at `now` (its
-    // completion would have fired at the deadline).
-    const FpgaExec& fx = currentExec(t);
-    const SimDuration period = clockPeriods_.at(fx.config);
-    const SimTime now = sim_->now();
-    std::uint64_t remaining = 0;
-    if (it->deadline > now && period > 0) {
-      remaining = (it->deadline - now + period - 1) / period;
-    }
-    remaining = std::min(remaining, tr.cyclesRemaining);
-    if (remaining == 0) remaining = 1;
+    tr.cyclesRemaining =
+        cyclesOwed(*it, currentExec(t).config, tr.cyclesRemaining);
     sim_->cancel(it->completionEvent);
     runningExecs_.erase(it);
-    tr.cyclesRemaining = remaining;
     // Real datapath hand-off: read the registers of the relocated circuit
     // back through the configuration port, then release the strip.
-    ticket.savedState = pm_->loaded(tr.partition).saveState();
     const SimDuration readCost =
-        port_->chargeStateRead(ticket.savedState.size());
+        saveRegisters(*dev_, *port_, pm_->circuitIn(tr.partition), registers);
     cStateMoveNs_ += readCost;
     ticket.cost += readCost;
     trace_.record(sim_->now(), TraceKind::kStateSave,
@@ -1056,7 +1060,7 @@ OsKernel::MigrationTicket OsKernel::extractForMigration(std::size_t t) {
   for (std::size_t i = tr.opIndex + 1; i < tr.spec.ops.size(); ++i) {
     cont.ops.push_back(tr.spec.ops[i]);
   }
-  cont.migratedStateBits = ticket.savedState.size();
+  cont.migratedState = std::move(registers);
   ticket.continuation = std::move(cont);
 
   tr.state = TaskState::kMigrated;
@@ -1069,7 +1073,8 @@ OsKernel::MigrationTicket OsKernel::extractForMigration(std::size_t t) {
                    {{"task", tr.spec.name},
                     {"from_running", ticket.fromRunning ? "true" : "false"},
                     {"state_bits",
-                     std::to_string(ticket.savedState.size())}},
+                     std::to_string(
+                         ticket.continuation.migratedState.size())}},
                    static_cast<std::uint32_t>(t) + 1);
   if (ticket.fromRunning) {
     // A strip just freed up; treat it like any other release.
@@ -1082,13 +1087,7 @@ OsKernel::MigrationTicket OsKernel::extractForMigration(std::size_t t) {
 // ------------------------------------------------------- fault tolerance
 
 void OsKernel::scrubTick() {
-  bool allDone = true;
-  for (const TaskRuntime& tr : tasks_) {
-    if (!tr.terminal()) {
-      allDone = false;
-      break;
-    }
-  }
+  const bool allDone = allTasksTerminal();
   // Stop rescheduling once nothing is left to protect, so the simulation
   // can drain; run() performs one final pass.
   if (allDone) return;
@@ -1317,17 +1316,7 @@ fault::TaskCheckpoint OsKernel::buildCheckpoint(
             tr.cyclesRemaining > 0 ? tr.cyclesRemaining : fx->cycles;
         if (tr.state == TaskState::kRunningFpga) {
           for (const RunningExec& re : runningExecs_) {
-            if (re.task != t) continue;
-            const SimDuration period = clockPeriods_.at(fx->config);
-            const SimTime now = sim_->now();
-            std::uint64_t rem = 0;
-            if (re.deadline > now && period > 0) {
-              rem = (re.deadline - now + period - 1) / period;
-            }
-            rem = std::min(rem, owed);
-            if (rem == 0) rem = 1;
-            owed = rem;
-            break;
+            if (re.task == t) owed = cyclesOwed(re, fx->config, owed);
           }
         }
         op.cycles = owed;
@@ -1368,13 +1357,7 @@ void OsKernel::writeCheckpoint(std::size_t t, std::vector<bool> registers,
 }
 
 void OsKernel::checkpointTick() {
-  bool allDone = true;
-  for (const TaskRuntime& tr : tasks_) {
-    if (!tr.terminal()) {
-      allDone = false;
-      break;
-    }
-  }
+  const bool allDone = allTasksTerminal();
   // Stop rescheduling once every task is terminal so the simulation drains.
   if (allDone) return;
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
@@ -1387,8 +1370,8 @@ void OsKernel::checkpointTick() {
       // Live snapshot of a running partitioned execution: real register
       // readback through the configuration port, charged like a migration
       // hand-off (the port serializes behind in-flight downloads).
-      registers = pm_->loaded(tr.partition).saveState();
-      const SimDuration readCost = port_->chargeStateRead(registers.size());
+      const SimDuration readCost = saveRegisters(
+          *dev_, *port_, pm_->circuitIn(tr.partition), registers);
       cStateMoveNs_ += readCost;
       portFreeAt_ = std::max(sim_->now(), portFreeAt_) + readCost;
       trace_.record(sim_->now(), TraceKind::kStateSave,
@@ -1400,35 +1383,50 @@ void OsKernel::checkpointTick() {
                       [this] { checkpointTick(); });
 }
 
-std::size_t OsKernel::restoreTask(const fault::TaskCheckpoint& ck) {
+TaskSpec checkpointedTask(const fault::TaskCheckpoint& ck,
+                          const ConfigRegistry& registry) {
   TaskSpec ts;
   ts.name = ck.task;
   ts.priority = ck.priority;
-  ts.arrival = sim_->now();
+  bool firstFpga = true;
   for (const fault::CheckpointOp& op : ck.ops) {
-    if (op.isFpga) {
-      const ConfigId id = registry_.byName(op.config);
-      if (id == kNoConfig) {
-        throw std::runtime_error("restore: checkpoint references circuit '" +
-                                 op.config +
-                                 "' which this kernel never registered");
-      }
-      const std::uint16_t width = registry_.circuit(id).region.w;
-      if (width != op.configWidth) {
-        throw std::runtime_error(
-            "restore: circuit '" + op.config + "' congruence violation " +
-            "(checkpointed width " + std::to_string(op.configWidth) +
-            ", registered width " + std::to_string(width) + ")");
-      }
-      ts.ops.push_back(FpgaExec{id, op.cycles});
-    } else {
+    if (!op.isFpga) {
       ts.ops.push_back(CpuBurst{op.cpuNs});
+      continue;
     }
+    const ConfigId id = registry.byName(op.config);
+    if (id == kNoConfig) {
+      throw std::runtime_error("restore: checkpoint references circuit '" +
+                               op.config + "' which is not registered here");
+    }
+    const CompiledCircuit& c = registry.circuit(id);
+    if (c.region.w != op.configWidth) {
+      throw std::runtime_error(
+          "restore: circuit '" + op.config + "' congruence violation " +
+          "(checkpointed width " + std::to_string(op.configWidth) +
+          ", registered width " + std::to_string(c.region.w) + ")");
+    }
+    // The snapshot holds the registers of the first FPGA op, which it
+    // resumes.
+    if (std::exchange(firstFpga, false) && !ck.registers.empty() &&
+        ck.registers.size() != c.ffCount()) {
+      throw std::runtime_error(
+          "restore: circuit '" + op.config + "' congruence violation " +
+          "(checkpointed registers " + std::to_string(ck.registers.size()) +
+          ", registered FFs " + std::to_string(c.ffCount()) + ")");
+    }
+    ts.ops.push_back(FpgaExec{id, op.cycles});
   }
+  ts.migratedState = ck.registers;
+  return ts;
+}
+
+std::size_t OsKernel::restoreTask(const fault::TaskCheckpoint& ck) {
+  TaskSpec ts = checkpointedTask(ck, registry_);
+  ts.arrival = sim_->now();
   // The register snapshot rides in exactly like a live migration: written
   // back through the port at the first grant, then the configured fabric
   // is re-proven against its mapped netlist under invariant checks.
-  ts.migratedStateBits = ck.registers.size();
   const std::size_t t = tasks_.size();
   addTask(std::move(ts));
   TaskRuntime& tr = task(t);

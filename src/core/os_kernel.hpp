@@ -109,6 +109,15 @@ struct OsOptions {
   FaultToleranceOptions ft;
 };
 
+/// The task a checkpoint resumes, its ops resolved by circuit name through
+/// `registry`, carrying the register snapshot as migratedState. Throws
+/// std::runtime_error when an op names an unregistered circuit, or when
+/// the registered strip width or the first FPGA op's FF count differs from
+/// the checkpoint's (a congruence violation: the caller records a
+/// diagnosed rejection, never a silent wrong restore).
+TaskSpec checkpointedTask(const fault::TaskCheckpoint& ck,
+                          const ConfigRegistry& registry);
+
 class OsKernel {
  public:
   OsKernel(Simulation& sim, Device& device, ConfigPort& port,
@@ -156,10 +165,10 @@ class OsKernel {
   /// One extracted task: the remaining program (current FPGA op rewritten
   /// to the cycles still owed) plus what the hand-off cost at this source.
   struct MigrationTicket {
+    /// Its migratedState holds the registers read back through the
+    /// configuration port when the task was running (empty for a task
+    /// extracted while still waiting).
     TaskSpec continuation;
-    /// Register snapshot read back through the configuration port when the
-    /// task was running (empty for a task extracted while still waiting).
-    std::vector<bool> savedState;
     SimDuration cost = 0;  ///< state readback + strip deactivation time
     bool fromRunning = false;
   };
@@ -180,15 +189,12 @@ class OsKernel {
   fault::CheckpointStore* checkpointStore() { return ckpt_.get(); }
 
   /// Re-admits a checkpointed task into this kernel (possibly a different
-  /// kernel instance, device or process than the one that wrote it). Each
-  /// op's configuration is resolved by circuit name through this kernel's
-  /// registry; the register snapshot rides in as migrated state, charged
-  /// through the configuration port at the task's first grant and verified
-  /// against the configured fabric exactly like a cluster migration.
-  /// Throws std::runtime_error when an op names an unregistered circuit or
-  /// the registered strip width differs (a congruence violation — the
-  /// caller records a diagnosed rejection, never a silent wrong restore).
-  /// Returns the new task index.
+  /// kernel instance, device or process than the one that wrote it),
+  /// resolved through this kernel's registry by checkpointedTask() (which
+  /// throws on a congruence violation). The register snapshot rides in as
+  /// migrated state: written through the configuration port at the task's
+  /// first grant and verified against the configured fabric exactly like a
+  /// cluster migration. Returns the new task index.
   std::size_t restoreTask(const fault::TaskCheckpoint& ck);
 
   /// Builds a durable checkpoint of task `t` as it stands now: remaining
@@ -326,6 +332,10 @@ class OsKernel {
     SimTime deadline;
   };
   std::vector<RunningExec> runningExecs_;
+  /// Whole cycles an execution cut now still owes (its completion would
+  /// have fired at the deadline): at most `cap`, at least 1.
+  std::uint64_t cyclesOwed(const RunningExec& re, ConfigId config,
+                           std::uint64_t cap) const;
 
   // Service (device-driver) configurations: pinned partitions, FIFO
   // request queues, one request in flight per service.
@@ -408,6 +418,7 @@ class OsKernel {
 
   void bindFaultMetrics();
   void bindCheckpointMetrics();
+  bool allTasksTerminal() const;
   void scrubTick();
   void monitorTick();
   /// Periodic checkpoint cadence: snapshots every running partitioned

@@ -4,7 +4,7 @@
 
 #include "analysis/equiv/verify.hpp"
 #include "analysis/kernel_check.hpp"
-#include "compile/loaded_circuit.hpp"
+#include "core/circuit_io.hpp"
 
 namespace vfpga {
 
@@ -38,13 +38,15 @@ SimDuration OverlayManager::installResident(const CompiledCircuit& common) {
   // A serial port rewrites the whole device: the overlay columns come from
   // the golden image, so a reinstall keeps the active overlay.
   const SimDuration t =
-      port_->spec().partialReconfig
-          ? port_->download(residentCircuit_->partialBitstream())
-          : port_->download(port_->columnsBitstream(
-                residentCircuit_->image, 0,
-                static_cast<std::uint16_t>(residentWidth_ - 1),
-                /*changedOnly=*/false));
-  LoadedCircuit(*dev_, *residentCircuit_).applyInitialState();
+      installCircuit(
+          *dev_, *port_, *residentCircuit_,
+          port_->spec().partialReconfig
+              ? residentCircuit_->partialBitstream()
+              : port_->columnsBitstream(
+                    residentCircuit_->image, 0,
+                    static_cast<std::uint16_t>(residentWidth_ - 1),
+                    /*changedOnly=*/false))
+          .time();
   if (analysis::invariantChecksEnabled()) checkInvariants();
   return t;
 }
@@ -94,8 +96,7 @@ OverlayManager::InvokeResult OverlayManager::invoke(OverlayId id) {
       target.image, residentWidth_,
       static_cast<std::uint16_t>(dev_->geometry().cols - 1),
       /*changedOnly=*/true);
-  if (!bs.frames.empty()) r.cost = port_->download(bs);
-  LoadedCircuit(*dev_, target).applyInitialState();
+  r.cost = installCircuit(*dev_, *port_, target, bs).time();
   active_ = id;
   r.loaded = true;
   ++loads_;

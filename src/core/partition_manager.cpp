@@ -59,17 +59,15 @@ std::optional<PartitionManager::LoadResult> PartitionManager::load(
   const Strip& strip = alloc_.strip(*grant);
   CompiledCircuit relocated =
       analysis::equiv::relocateProven(*compiler_, canon, strip.x0);
-  const DlOutcome dl = downloadInto(relocated);
-  result.cost = dl.time;
-  result.retries = dl.retries;
-  result.aborts = dl.aborts;
-  result.downloadFailed = dl.failed;
+  const Installed in = installInto(relocated);
+  result.cost = in.time();
+  result.downloadFailed = !in.ok();
   // Fixed partitions may be wider than the circuit: blank the remainder so
   // a previous occupant's configuration cannot keep decoding there.
   if (strip.width > relocated.region.w) {
     result.cost += blankColumns(
         static_cast<std::uint16_t>(strip.x0 + relocated.region.w),
-        static_cast<std::uint16_t>(strip.x0 + strip.width - 1));
+        static_cast<std::uint16_t>(strip.width - relocated.region.w));
   }
   occupants_[*grant] = Occupant{id, std::move(relocated)};
   notifyOccupancy("allocate");
@@ -77,48 +75,34 @@ std::optional<PartitionManager::LoadResult> PartitionManager::load(
   return result;
 }
 
-PartitionManager::DlOutcome PartitionManager::downloadInto(
-    const CompiledCircuit& relocated) {
-  DlOutcome out;
+Installed PartitionManager::installInto(const CompiledCircuit& relocated) {
   // A serial-full-only port cannot write one strip in isolation: it
   // re-downloads the whole intended image (which already holds the other
   // partitions) with the new strip merged in.
-  const fault::DownloadOutcome dl = fault::downloadWithRetry(
-      *port_,
+  const Installed in = installCircuit(
+      *dev_, *port_, relocated,
       port_->spec().partialReconfig
           ? relocated.partialBitstream()
           : port_->columnsBitstream(relocated.image, relocated.region.x0,
                                     relocated.region.x1(),
                                     /*changedOnly=*/false),
       options_.recovery);
-  out.time = dl.time;
-  out.retries = dl.retries;
-  out.aborts = dl.aborts;
-  out.failed = !dl.ok;
-  ftStats_.downloadRetries += static_cast<std::uint64_t>(dl.retries);
-  ftStats_.downloadAborts += dl.aborts;
-  if (out.failed) {
-    // The strip's configuration is bad; skip state init. The caller either
-    // unloads (and parks the task) or lets the next scrub repair the RAM
-    // toward the golden image, which already holds the intended config.
-    ++ftStats_.downloadFailures;
-    return out;
-  }
-  if (relocated.ffCount() > 0) {
-    LoadedCircuit lc(*dev_, relocated);
-    lc.applyInitialState();
-    if (relocated.needsInitialState() && port_->spec().stateAccess) {
-      out.time += port_->chargeStateWrite(relocated.ffCount());
-    }
-  }
-  return out;
+  ftStats_.downloadRetries += static_cast<std::uint64_t>(in.download.retries);
+  ftStats_.downloadAborts += in.download.aborts;
+  // A failed download leaves the strip's configuration bad and its
+  // registers untouched. The caller either unloads (and parks the task) or
+  // lets the next scrub repair the RAM toward the golden image, which
+  // already holds the intended config.
+  if (!in.ok()) ++ftStats_.downloadFailures;
+  return in;
 }
 
-SimDuration PartitionManager::blankColumns(std::uint16_t c0,
-                                           std::uint16_t c1) {
+SimDuration PartitionManager::blankColumns(std::uint16_t x0,
+                                           std::uint16_t width) {
   const ConfigImage blank(dev_->configMap().totalBits());
-  return port_->download(
-      port_->columnsBitstream(blank, c0, c1, /*changedOnly=*/false));
+  return port_->download(port_->columnsBitstream(
+      blank, x0, static_cast<std::uint16_t>(x0 + width - 1),
+      /*changedOnly=*/false));
 }
 
 SimDuration PartitionManager::blankInactiveStrips() {
@@ -128,7 +112,7 @@ SimDuration PartitionManager::blankInactiveStrips() {
     // whatever was resident when the column died. Either would keep
     // decoding into live neighbours, so both are deactivated.
     if (s.busy) continue;
-    cost += blankColumns(s.x0, static_cast<std::uint16_t>(s.x0 + s.width - 1));
+    cost += blankColumns(s.x0, s.width);
   }
   return cost;
 }
@@ -137,23 +121,18 @@ SimDuration PartitionManager::relocateOccupant(Occupant& occ,
                                                std::uint16_t fromX0,
                                                std::uint16_t toX0) {
   SimDuration cost = 0;
-  // Capture the register state *before* touching the configuration RAM.
-  // The snapshot is CRC-sealed so fault-plan corruption is detected below.
-  std::vector<bool> state;
-  std::uint16_t crc = 0;
-  if (occ.circuit.ffCount() > 0) {
-    LoadedCircuit lc(*dev_, occ.circuit);
-    state = lc.saveState();
-    crc = fault::stateCrc(state);
-    if (options_.plan) options_.plan->corruptState(state);
-    if (port_->spec().stateAccess) {
-      cost += port_->chargeStateRead(occ.circuit.ffCount());
-    }
+  // Capture the register state *before* touching the configuration RAM,
+  // sealed so that fault-plan corruption is detected below. A port without
+  // state access cannot read them: the circuit restarts from its initial
+  // values.
+  SealedState state;
+  if (occ.circuit.ffCount() > 0 && port_->spec().stateAccess) {
+    cost += saveRegisters(*dev_, *port_, occ.circuit, state.bits);
+    state.seal(options_.plan);
   }
   // Blank the old strip (its columns may not be covered by any new
-  // occupant after packing), then download at the new location.
-  cost += blankColumns(
-      fromX0, static_cast<std::uint16_t>(fromX0 + occ.circuit.region.w - 1));
+  // occupant after packing), then install at the new location.
+  cost += blankColumns(fromX0, occ.circuit.region.w);
   occ.circuit = analysis::equiv::relocateProven(*compiler_, occ.circuit, toX0);
   ++relocationsDone_;
   if (sink_) {
@@ -161,22 +140,17 @@ SimDuration PartitionManager::relocateOccupant(Occupant& occ,
                                     std::to_string(fromX0) + " -> x" +
                                     std::to_string(toX0));
   }
-  const DlOutcome dl = downloadInto(occ.circuit);
-  cost += dl.time;
+  const Installed in = installInto(occ.circuit);
+  cost += in.time();
   // On a failed relocation download the config RAM is left bad, but the
-  // golden image already holds the intent, so the next scrub repairs it;
-  // downloadInto applied the initial state only on success.
-  if (!state.empty() && !dl.failed) {
-    if (fault::stateCrc(state) != crc) {
-      // Snapshot rotted in transit: restart from initial values (already
-      // applied by downloadInto) instead of resuming with garbage.
-      ++ftStats_.stateCrcFailures;
+  // golden image already holds the intent, so the next scrub repairs it.
+  if (!state.bits.empty() && in.ok()) {
+    if (state.intact()) {
+      cost += restoreRegisters(*dev_, *port_, occ.circuit, state.bits);
     } else {
-      LoadedCircuit lc(*dev_, occ.circuit);
-      lc.restoreState(state);
-      if (port_->spec().stateAccess) {
-        cost += port_->chargeStateWrite(occ.circuit.ffCount());
-      }
+      // Snapshot rotted in transit: the circuit keeps the initial values
+      // the install gave it instead of resuming with garbage.
+      ++ftStats_.stateCrcFailures;
     }
   }
   notifyOccupancy("relocate");
@@ -203,14 +177,7 @@ PartitionManager::QuarantineResult PartitionManager::quarantine(
   // A compaction below may move occupants across the failed column, so
   // re-resolve which strip holds it on every attempt.
   for (int attempt = 0; attempt < 2; ++attempt) {
-    const Strip* hit = nullptr;
-    for (const Strip& s : alloc_.strips()) {
-      if (column >= s.x0 && column < s.x0 + s.width) {
-        hit = &s;
-        break;
-      }
-    }
-    if (hit == nullptr) throw std::out_of_range("column beyond device");
+    const Strip* hit = &alloc_.stripAt(column);
     if (hit->faulty) {
       res.quarantined = true;  // already fenced off
       return res;
@@ -266,21 +233,11 @@ PartitionManager::QuarantineResult PartitionManager::quarantine(
 }
 
 SimDuration PartitionManager::unquarantine(std::uint16_t column) {
-  const Strip* hit = nullptr;
-  for (const Strip& s : alloc_.strips()) {
-    if (column >= s.x0 && column < s.x0 + s.width) {
-      hit = &s;
-      break;
-    }
-  }
-  if (hit == nullptr) throw std::out_of_range("column beyond device");
-  if (!hit->faulty) return 0;  // never quarantined, or already healed
-  const std::uint16_t c0 = hit->x0;
-  const std::uint16_t c1 =
-      static_cast<std::uint16_t>(hit->x0 + hit->width - 1);
+  const Strip& hit = alloc_.stripAt(column);
+  if (!hit.faulty) return 0;  // never quarantined, or already healed
   // The RAM under the healed columns holds whatever the fault scrambled;
   // deactivate it before the strip can be granted again.
-  const SimDuration cost = blankColumns(c0, c1);
+  const SimDuration cost = blankColumns(hit.x0, hit.width);
   alloc_.unquarantineColumn(column);
   ++ftStats_.stripsHealed;
   notifyOccupancy("heal");
@@ -302,7 +259,7 @@ SimDuration PartitionManager::unload(PartitionId id) {
   // the (aligned, harmless) configuration in the RAM.
   if (alloc_.quarantinedColumns() > 0) {
     const Strip& s = alloc_.strip(id);
-    cost = blankColumns(s.x0, static_cast<std::uint16_t>(s.x0 + s.width - 1));
+    cost = blankColumns(s.x0, s.width);
   }
   alloc_.release(id);
   notifyOccupancy("release");

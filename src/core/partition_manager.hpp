@@ -22,11 +22,9 @@
 
 #include "compile/compiler.hpp"
 #include "compile/loaded_circuit.hpp"
+#include "core/circuit_io.hpp"
 #include "core/config_registry.hpp"
 #include "core/strip_allocator.hpp"
-#include "fabric/config_port.hpp"
-#include "fault/fault_plan.hpp"
-#include "fault/recovery.hpp"
 #include "sim/trace.hpp"
 
 namespace vfpga {
@@ -53,8 +51,6 @@ class PartitionManager {
     SimDuration cost = 0;       ///< download (+ state init) time
     SimDuration gcCost = 0;     ///< additional compaction time, if GC ran
     bool garbageCollected = false;
-    int retries = 0;            ///< download retries (verification on)
-    std::uint64_t aborts = 0;   ///< truncated transfers seen
     bool downloadFailed = false;///< retry budget exhausted; caller unloads
   };
 
@@ -166,17 +162,13 @@ class PartitionManager {
     if (occupancyObserver_) occupancyObserver_(event);
   }
 
-  struct DlOutcome {
-    SimDuration time = 0;
-    bool failed = false;
-    int retries = 0;
-    std::uint64_t aborts = 0;
-  };
-  DlOutcome downloadInto(const CompiledCircuit& relocated);
-  SimDuration blankColumns(std::uint16_t c0, std::uint16_t c1);
+  /// Installs a relocated circuit into its strip (initial register
+  /// values), counting retries and failures.
+  Installed installInto(const CompiledCircuit& relocated);
+  SimDuration blankColumns(std::uint16_t x0, std::uint16_t width);
   SimDuration blankInactiveStrips();
-  /// Moves one occupant's circuit from `fromX0` to `toX0`: state save
-  /// (CRC-sealed), blank, relocate, verified download, state restore.
+  /// Moves one occupant's circuit from `fromX0` to `toX0`: register save
+  /// (sealed), blank, relocate, install, register restore.
   SimDuration relocateOccupant(Occupant& occ, std::uint16_t fromX0,
                                std::uint16_t toX0);
   SimDuration compactNow();

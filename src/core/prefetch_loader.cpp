@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "analysis/equiv/verify.hpp"
+#include "core/circuit_io.hpp"
 
 namespace vfpga {
 
@@ -49,9 +50,7 @@ SimDuration PrefetchLoader::loadInto(ConfigId id, int half) {
   const std::uint16_t c1 = static_cast<std::uint16_t>(c0 + halfWidth_ - 1);
   const Bitstream bs =
       port_->columnsBitstream(c.image, c0, c1, /*changedOnly=*/true);
-  const SimDuration t = bs.frames.empty() ? 0 : port_->download(bs);
-  LoadedCircuit(*dev_, c).applyInitialState();
-  return t;
+  return installCircuit(*dev_, *port_, c, bs).time();
 }
 
 std::optional<ConfigId> PrefetchLoader::predictAfter(ConfigId id) const {

@@ -4,6 +4,7 @@
 
 #include "analysis/equiv/verify.hpp"
 #include "analysis/kernel_check.hpp"
+#include "core/circuit_io.hpp"
 
 namespace vfpga {
 
@@ -93,14 +94,24 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
     ++evictions_;
     ++r.evicted;
     if (alloc_.largestFree() < width && alloc_.totalFree() >= width) {
-      // Holes fragmented: compact (the moved segments' download cost is
-      // charged like any relocation).
+      // Holes fragmented: compact. A moved segment is charged like any
+      // relocation and keeps its registers: read at the old columns,
+      // installed at the new ones, written back.
       for (const auto& move : alloc_.compact()) {
         for (auto& [seg, res] : residency_) {
           if (res.strip != move.id) continue;
-          CompiledCircuit moved = analysis::equiv::relocateProven(
+          std::vector<bool> regs;
+          const bool carry =
+              res.placed.ffCount() > 0 && port_->spec().stateAccess;
+          if (carry) r.cost += saveRegisters(*dev_, *port_, res.placed, regs);
+          res.placed = analysis::equiv::relocateProven(
               *compiler_, segments_[seg], move.toX0);
-          r.cost += port_->download(moved.partialBitstream());
+          r.cost += installCircuit(*dev_, *port_, res.placed,
+                                   res.placed.partialBitstream())
+                        .time();
+          if (carry) {
+            r.cost += restoreRegisters(*dev_, *port_, res.placed, regs);
+          }
         }
       }
     }
@@ -109,10 +120,15 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
   const Strip& strip = alloc_.strip(*grant);
   CompiledCircuit placed =
       analysis::equiv::relocateProven(*compiler_, segments_[id], strip.x0);
-  r.cost += port_->download(placed.partialBitstream());
-  residency_[id] = Residency{*grant, clock_, clock_};
+  r.cost += installCircuit(*dev_, *port_, placed, placed.partialBitstream())
+                .time();
+  residency_[id] = Residency{*grant, clock_, clock_, std::move(placed)};
   if (analysis::invariantChecksEnabled()) checkInvariants();
   return r;
+}
+
+LoadedCircuit SegmentManager::loaded(SegmentId id) {
+  return LoadedCircuit(*dev_, residency_.at(id).placed);
 }
 
 void SegmentManager::checkInvariants() const {

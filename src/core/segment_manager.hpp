@@ -5,9 +5,10 @@
 // Segments are relocatable compiled circuits of varying widths. Accessing
 // a segment that is not resident triggers a segment fault: space is carved
 // from the column allocator (evicting the least-recently / first-loaded
-// resident segments until the new one fits) and the segment is downloaded.
-// Several segments are resident at once — the working set of the large
-// virtual circuit.
+// resident segments until the new one fits) and the segment is installed
+// with its initial register values. Compaction moves resident segments with
+// their registers. Several segments are resident at once — the working set
+// of the large virtual circuit.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "compile/compiler.hpp"
+#include "compile/loaded_circuit.hpp"
 #include "core/strip_allocator.hpp"
 #include "fabric/config_port.hpp"
 #include "fault/fault_plan.hpp"
@@ -46,6 +48,8 @@ class SegmentManager {
   AccessResult access(SegmentId id);
 
   bool resident(SegmentId id) const { return residency_.count(id) != 0; }
+  /// Harness for a resident segment where it currently sits.
+  LoadedCircuit loaded(SegmentId id);
   std::size_t residentCount() const { return residency_.size(); }
 
   std::uint64_t accesses() const { return accesses_; }
@@ -87,6 +91,7 @@ class SegmentManager {
     PartitionId strip;
     std::uint64_t loadedAt;
     std::uint64_t lastUse;
+    CompiledCircuit placed;  ///< the segment relocated into its strip
   };
   std::unordered_map<SegmentId, Residency> residency_;
   std::uint64_t clock_ = 0;

@@ -134,17 +134,15 @@ std::uint16_t StripAllocator::largestFree() const {
   return n;
 }
 
-void StripAllocator::quarantineColumn(std::uint16_t column) {
-  if (column >= columns_) throw std::out_of_range("column beyond device");
-  std::size_t idx = strips_.size();
-  for (std::size_t i = 0; i < strips_.size(); ++i) {
-    const Strip& s = strips_[i];
-    if (column >= s.x0 && column < s.x0 + s.width) {
-      idx = i;
-      break;
-    }
+const Strip& StripAllocator::stripAt(std::uint16_t column) const {
+  for (const Strip& s : strips_) {
+    if (column >= s.x0 && column < s.x0 + s.width) return s;
   }
-  if (idx == strips_.size()) throw std::logic_error("column not covered");
+  throw std::out_of_range("column beyond device");
+}
+
+void StripAllocator::quarantineColumn(std::uint16_t column) {
+  const auto idx = static_cast<std::size_t>(&stripAt(column) - strips_.data());
   Strip& s = strips_[idx];
   if (s.faulty) return;  // already quarantined
   if (s.busy) {
@@ -180,17 +178,11 @@ void StripAllocator::quarantineColumn(std::uint16_t column) {
 }
 
 void StripAllocator::unquarantineColumn(std::uint16_t column) {
-  if (column >= columns_) throw std::out_of_range("column beyond device");
-  for (std::size_t i = 0; i < strips_.size(); ++i) {
-    Strip& s = strips_[i];
-    if (column < s.x0 || column >= s.x0 + s.width) continue;
-    if (!s.faulty) return;  // nothing to heal
-    s.faulty = false;
-    if (!fixed_) mergeIdleAround(i);
-    maybeCheck(*this);
-    return;
-  }
-  throw std::logic_error("column not covered");
+  const auto i = static_cast<std::size_t>(&stripAt(column) - strips_.data());
+  if (!strips_[i].faulty) return;  // nothing to heal
+  strips_[i].faulty = false;
+  if (!fixed_) mergeIdleAround(i);
+  maybeCheck(*this);
 }
 
 std::size_t StripAllocator::repairUnmergedIdle() {

@@ -57,6 +57,9 @@ class StripAllocator {
   void release(PartitionId id);
 
   const Strip& strip(PartitionId id) const;
+  /// The strip covering `column`; throws std::out_of_range beyond the
+  /// device.
+  const Strip& stripAt(std::uint16_t column) const;
   /// All strips, left to right (a view into the allocator's bookkeeping;
   /// invalidated by any mutating call).
   const std::vector<Strip>& strips() const { return strips_; }

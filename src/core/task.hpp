@@ -37,11 +37,11 @@ struct TaskSpec {
   /// kernel runs with OsOptions::priorityScheduling.
   int priority = 0;
   std::vector<TaskOp> ops;
-  /// Nonzero for the continuation of a live-migrated task: the number of
-  /// register bits whose snapshot must be written back through the
-  /// configuration port before the first FPGA grant (the kernel charges
-  /// the state-restore once, then clears the field).
-  std::uint64_t migratedStateBits = 0;
+  /// Non-empty for the continuation of a live-migrated or checkpointed
+  /// task: the register snapshot (mapped-netlist order) the kernel writes
+  /// back through the configuration port at the first FPGA grant, then
+  /// clears.
+  std::vector<bool> migratedState;
 };
 
 enum class TaskState : std::uint8_t {

@@ -165,48 +165,22 @@ ScrubResult ConfigPort::scrub() {
   return res;
 }
 
-SimDuration ConfigPort::readState(std::vector<bool>& out) {
-  if (!spec_.stateAccess) {
-    throw std::logic_error("state readback not supported by this port");
-  }
-  out = device_->ffState();
-  const SimDuration t = stateReadCost(out.size());
-  ++stats_.stateReads;
-  stats_.stateBitsMoved += out.size();
-  stats_.busyTime += t;
-  return t;
-}
-
 SimDuration ConfigPort::chargeStateRead(std::size_t ffBits) {
-  if (!spec_.stateAccess) {
-    throw std::logic_error("state readback not supported by this port");
-  }
-  const SimDuration t = stateReadCost(ffBits);
-  ++stats_.stateReads;
-  stats_.stateBitsMoved += ffBits;
-  stats_.busyTime += t;
-  return t;
+  return chargeState(stateReadCost(ffBits), ffBits, stats_.stateReads);
 }
 
 SimDuration ConfigPort::chargeStateWrite(std::size_t ffBits) {
-  if (!spec_.stateAccess) {
-    throw std::logic_error("state writeback not supported by this port");
-  }
-  const SimDuration t = stateWriteCost(ffBits);
-  ++stats_.stateWrites;
-  stats_.stateBitsMoved += ffBits;
-  stats_.busyTime += t;
-  return t;
+  return chargeState(stateWriteCost(ffBits), ffBits, stats_.stateWrites);
 }
 
-SimDuration ConfigPort::writeState(const std::vector<bool>& state) {
+SimDuration ConfigPort::chargeState(SimDuration t, std::size_t ffBits,
+                                    std::uint64_t& moves) {
   if (!spec_.stateAccess) {
-    throw std::logic_error("state writeback not supported by this port");
+    throw std::logic_error("state readback/writeback not supported by this "
+                           "port");
   }
-  device_->setFfState(state);
-  const SimDuration t = stateWriteCost(state.size());
-  ++stats_.stateWrites;
-  stats_.stateBitsMoved += state.size();
+  ++moves;
+  stats_.stateBitsMoved += ffBits;
   stats_.busyTime += t;
   return t;
 }

@@ -1,5 +1,6 @@
-// Configuration port: the only way configuration data and FF state move
-// between the host and the device, with an explicit time model.
+// Configuration port: the only way configuration data moves between the
+// host and the device, with an explicit time model that also prices
+// register readback and writeback.
 //
 // Two port generations are modelled, matching §2 of the paper:
 //  * serial-full only (e.g. Xilinx XC4000: "downloaded only serially and
@@ -8,7 +9,8 @@
 //    families the connectivity is partially reconfigurable") —
 //    partialReconfig = true.
 // State readback/writeback (for preemption save/restore) is a separate
-// capability flag with its own per-bit cost.
+// capability flag with its own per-bit cost; core/circuit_io.hpp moves a
+// circuit's registers and charges it here.
 //
 // columnsBitstream() is the one place where a column range becomes frames:
 // the OS managers say which columns should hold what, and the port picks
@@ -145,21 +147,18 @@ class ConfigPort {
   /// A partial bitstream on a port without partial support throws.
   SimDuration download(const Bitstream& bs);
 
-  /// Reads all FF state out of the device (readback). Requires stateAccess.
-  SimDuration readState(std::vector<bool>& out);
-  /// Writes FF state into the device. Requires stateAccess.
-  SimDuration writeState(const std::vector<bool>& state);
-
-  /// Accounting-only variants: callers that move state per-circuit through
-  /// Device::ffStateAt (e.g. the partition manager saving one strip's
-  /// registers) charge the port for the readback traffic here. Requires
-  /// stateAccess.
+  /// Charge the port for reading back / writing `ffBits` register bits.
+  /// The registers themselves move per circuit through Device::ffStateAt;
+  /// in the OS only core/circuit_io calls these. Throw std::logic_error
+  /// without stateAccess.
   SimDuration chargeStateRead(std::size_t ffBits);
   SimDuration chargeStateWrite(std::size_t ffBits);
 
  private:
   SimDuration appliedDownloadCost(const Bitstream& bs,
                                   std::size_t framesApplied) const;
+  SimDuration chargeState(SimDuration t, std::size_t ffBits,
+                          std::uint64_t& moves);
 
   Device* device_;
   ConfigPortSpec spec_;

@@ -1,4 +1,4 @@
-// Recovery building blocks shared by DynamicLoader and PartitionManager:
+// Recovery building blocks of the OS install path (core/circuit_io):
 // verified downloads with bounded exponential-backoff retry, and the CRC
 // used to protect saved register snapshots.
 #pragma once

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -14,17 +13,9 @@ namespace vfpga::obs {
 
 namespace {
 
-std::string fmtDouble(double v) {
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (std::isnan(v)) return "NaN";
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
-
 /// trace_event timestamps are microseconds; keep sub-ns precision.
 std::string tsMicros(std::uint64_t ns) {
-  return fmtDouble(static_cast<double>(ns) / 1000.0);
+  return formatDouble(static_cast<double>(ns) / 1000.0);
 }
 
 /// Keys render sorted: a span replayed from an NDJSON stream round-trips
@@ -298,18 +289,18 @@ std::string renderPrometheus(const MetricsRegistry& registry) {
       case MetricKind::kGauge: {
         promHeader(os, lastName, m->name, m->help, "gauge");
         os << m->name << promLabels(m->labels) << " "
-           << fmtDouble(std::get<Gauge>(m->value).value()) << "\n";
+           << formatDouble(std::get<Gauge>(m->value).value()) << "\n";
         break;
       }
       case MetricKind::kStats: {
         promHeader(os, lastName, m->name, m->help, "summary");
         const OnlineStats& s = std::get<StatsMetric>(m->value).stats();
         os << m->name << promLabels(m->labels, "quantile", "0") << " "
-           << fmtDouble(s.min()) << "\n";
+           << formatDouble(s.min()) << "\n";
         os << m->name << promLabels(m->labels, "quantile", "1") << " "
-           << fmtDouble(s.max()) << "\n";
+           << formatDouble(s.max()) << "\n";
         os << m->name << "_sum" << promLabels(m->labels) << " "
-           << fmtDouble(s.sum()) << "\n";
+           << formatDouble(s.sum()) << "\n";
         os << m->name << "_count" << promLabels(m->labels) << " " << s.count()
            << "\n";
         break;
@@ -322,13 +313,13 @@ std::string renderPrometheus(const MetricsRegistry& registry) {
         for (std::size_t i = 0; i < h.bucketCount(); ++i) {
           cum += h.bucket(i);
           os << m->name << "_bucket"
-             << promLabels(m->labels, "le", fmtDouble(h.bucketHigh(i))) << " "
+             << promLabels(m->labels, "le", formatDouble(h.bucketHigh(i))) << " "
              << cum << "\n";
         }
         os << m->name << "_bucket" << promLabels(m->labels, "le", "+Inf")
            << " " << h.total() << "\n";
         os << m->name << "_sum" << promLabels(m->labels) << " "
-           << fmtDouble(hm.sum()) << "\n";
+           << formatDouble(hm.sum()) << "\n";
         os << m->name << "_count" << promLabels(m->labels) << " " << h.total()
            << "\n";
         // Percentile samples via the fixed-width quantile accessor,
@@ -337,7 +328,7 @@ std::string renderPrometheus(const MetricsRegistry& registry) {
              {std::pair{"_p50", 50.0}, {"_p90", 90.0}, {"_p99", 99.0}}) {
           percentileFamilies[m->name + suffix].push_back(
               m->name + suffix + promLabels(m->labels) + " " +
-              fmtDouble(h.percentile(p)) + "\n");
+              formatDouble(h.percentile(p)) + "\n");
         }
         break;
       }
@@ -434,24 +425,24 @@ std::string renderCsv(const MetricsRegistry& registry) {
             std::to_string(std::get<Counter>(m->value).value()));
         break;
       case MetricKind::kGauge:
-        row(m, "value", fmtDouble(std::get<Gauge>(m->value).value()));
+        row(m, "value", formatDouble(std::get<Gauge>(m->value).value()));
         break;
       case MetricKind::kStats: {
         const OnlineStats& s = std::get<StatsMetric>(m->value).stats();
         row(m, "count", std::to_string(s.count()));
-        row(m, "sum", fmtDouble(s.sum()));
-        row(m, "mean", fmtDouble(s.mean()));
-        row(m, "min", fmtDouble(s.min()));
-        row(m, "max", fmtDouble(s.max()));
+        row(m, "sum", formatDouble(s.sum()));
+        row(m, "mean", formatDouble(s.mean()));
+        row(m, "min", formatDouble(s.min()));
+        row(m, "max", formatDouble(s.max()));
         break;
       }
       case MetricKind::kHistogram: {
         const HistogramMetric& hm = std::get<HistogramMetric>(m->value);
         row(m, "count", std::to_string(hm.histogram().total()));
-        row(m, "sum", fmtDouble(hm.sum()));
-        row(m, "p50", fmtDouble(hm.histogram().percentile(50)));
-        row(m, "p90", fmtDouble(hm.histogram().percentile(90)));
-        row(m, "p99", fmtDouble(hm.histogram().percentile(99)));
+        row(m, "sum", formatDouble(hm.sum()));
+        row(m, "p50", formatDouble(hm.histogram().percentile(50)));
+        row(m, "p90", formatDouble(hm.histogram().percentile(90)));
+        row(m, "p99", formatDouble(hm.histogram().percentile(99)));
         break;
       }
     }
@@ -481,23 +472,23 @@ std::string renderMetricsJson(const MetricsRegistry& registry) {
         os << ",\"value\":" << std::get<Counter>(m->value).value();
         break;
       case MetricKind::kGauge:
-        os << ",\"value\":" << fmtDouble(std::get<Gauge>(m->value).value());
+        os << ",\"value\":" << formatDouble(std::get<Gauge>(m->value).value());
         break;
       case MetricKind::kStats: {
         const OnlineStats& s = std::get<StatsMetric>(m->value).stats();
-        os << ",\"count\":" << s.count() << ",\"sum\":" << fmtDouble(s.sum())
-           << ",\"mean\":" << fmtDouble(s.mean())
-           << ",\"min\":" << fmtDouble(s.count() ? s.min() : 0.0)
-           << ",\"max\":" << fmtDouble(s.count() ? s.max() : 0.0);
+        os << ",\"count\":" << s.count() << ",\"sum\":" << formatDouble(s.sum())
+           << ",\"mean\":" << formatDouble(s.mean())
+           << ",\"min\":" << formatDouble(s.count() ? s.min() : 0.0)
+           << ",\"max\":" << formatDouble(s.count() ? s.max() : 0.0);
         break;
       }
       case MetricKind::kHistogram: {
         const HistogramMetric& hm = std::get<HistogramMetric>(m->value);
         os << ",\"count\":" << hm.histogram().total()
-           << ",\"sum\":" << fmtDouble(hm.sum())
-           << ",\"p50\":" << fmtDouble(hm.histogram().percentile(50))
-           << ",\"p90\":" << fmtDouble(hm.histogram().percentile(90))
-           << ",\"p99\":" << fmtDouble(hm.histogram().percentile(99));
+           << ",\"sum\":" << formatDouble(hm.sum())
+           << ",\"p50\":" << formatDouble(hm.histogram().percentile(50))
+           << ",\"p90\":" << formatDouble(hm.histogram().percentile(90))
+           << ",\"p99\":" << formatDouble(hm.histogram().percentile(99));
         break;
       }
     }

@@ -69,6 +69,9 @@ class FlightRecorder {
 
   std::size_t dumpCount() const { return dumps_; }
   const Options& options() const { return options_; }
+  /// Settable after construction, e.g. by the owner of a kernel that wants
+  /// its bundles named apart from its neighbours'.
+  Options& options() { return options_; }
 
  private:
   Options options_;

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace vfpga::obs {
@@ -235,6 +236,14 @@ std::string jsonEscape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string formatDouble(double v) {
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  if (std::isnan(v)) return "NaN";
+  char buf[64];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
 }
 
 }  // namespace vfpga::obs

@@ -73,4 +73,9 @@ class JsonValue {
 /// added). Shared by every renderer in the observability layer.
 std::string jsonEscape(std::string_view s);
 
+/// Shortest-round-trip rendering of a double, with +Inf, -Inf and NaN
+/// spelled as Prometheus does: deterministic across runs, no locale
+/// dependence. Shared by every renderer in the observability layer.
+std::string formatDouble(double v);
+
 }  // namespace vfpga::obs

@@ -6,18 +6,18 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace vfpga::obs::monitor {
 
 namespace {
 
 constexpr char kRamp[] = " .:-=+*#%@";  // 10 levels, low to high
 
-std::string fmt(double v) { return formatSampleValue(v); }
-
 // Display form for the text/HTML panels: 6 significant digits keeps the
 // columns readable (the JSON export keeps full shortest-round-trip
-// fidelity via fmt()). snprintf %g is deterministic under the default "C"
-// locale the CLI runs in.
+// fidelity via formatDouble()). snprintf %g is deterministic under the
+// default "C" locale the CLI runs in.
 std::string disp(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -28,7 +28,7 @@ std::string disp(double v) {
 // byte output independent of accumulated float noise).
 std::string coord(double v) {
   const double r = std::round(v * 100.0) / 100.0;
-  return formatSampleValue(r == 0.0 ? 0.0 : r);  // normalize -0
+  return formatDouble(r == 0.0 ? 0.0 : r);  // normalize -0
 }
 
 const char* transitionColor(const std::string& to) {
@@ -45,20 +45,6 @@ const char* gradeColor(HealthGrade g) {
     case HealthGrade::kCritical: return "#c0392b";
   }
   return "#95a5a6";
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -178,7 +164,7 @@ std::string renderMonitorJson(const DashboardInput& in) {
          << ruleKindName(rs.rule.kind) << "\", \"severity\": \""
          << alertSeverityName(rs.rule.severity) << "\", \"state\": \""
          << alertStateName(rs.state) << "\", \"incidents\": " << rs.incidents
-         << ", \"value\": " << fmt(rs.lastValue)
+         << ", \"value\": " << formatDouble(rs.lastValue)
          << ", \"condition\": " << (rs.lastCondition ? "true" : "false")
          << "}";
       first = false;
@@ -194,7 +180,7 @@ std::string renderMonitorJson(const DashboardInput& in) {
       os << (first ? "\n" : ",\n") << "    {\"t_ns\": " << tr.atNs
          << ", \"rule\": \"" << jsonEscape(tr.rule) << "\", \"from\": \""
          << alertStateName(tr.from) << "\", \"to\": \"" << tr.to
-         << "\", \"value\": " << fmt(tr.value) << ", \"severity\": \""
+         << "\", \"value\": " << formatDouble(tr.value) << ", \"severity\": \""
          << alertSeverityName(tr.severity) << "\"}";
       first = false;
     }
@@ -209,7 +195,7 @@ std::string renderMonitorJson(const DashboardInput& in) {
       const HealthCounters c = in.health->lastCounters(dev);
       os << (first ? "\n" : ",\n") << "    {\"name\": \"" << jsonEscape(dev)
          << "\", \"grade\": \"" << healthGradeName(in.health->grade(dev))
-         << "\", \"score\": " << fmt(in.health->score(dev))
+         << "\", \"score\": " << formatDouble(in.health->score(dev))
          << ", \"usable_columns\": " << c.usableColumns
          << ", \"total_columns\": " << c.totalColumns
          << ", \"quarantined_strips\": " << c.quarantinedStrips
@@ -227,7 +213,7 @@ std::string renderMonitorJson(const DashboardInput& in) {
       os << (first ? "\n" : ",\n") << "    {\"t_ns\": " << ev.atNs
          << ", \"device\": \"" << jsonEscape(ev.device) << "\", \"from\": \""
          << healthGradeName(ev.from) << "\", \"to\": \""
-         << healthGradeName(ev.to) << "\", \"score\": " << fmt(ev.score)
+         << healthGradeName(ev.to) << "\", \"score\": " << formatDouble(ev.score)
          << "}";
       first = false;
     }

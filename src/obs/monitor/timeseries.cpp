@@ -1,11 +1,11 @@
 #include "obs/monitor/timeseries.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <variant>
+
+#include "obs/json.hpp"
 
 namespace vfpga::obs::monitor {
 
@@ -62,14 +62,6 @@ double readField(const Metric& m, SeriesField field) {
 }
 
 }  // namespace
-
-std::string formatSampleValue(double v) {
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (std::isnan(v)) return "NaN";
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
 
 TimeSeriesStore::TimeSeriesStore(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ < 2) {
@@ -231,7 +223,7 @@ std::string TimeSeriesStore::renderCsv() const {
   for (std::size_t i = 0; i < tickTimes_.size(); ++i) {
     os << tickTimes_[i];
     for (const Series& s : series_) {
-      os << "," << formatSampleValue(s.values[i]);
+      os << "," << formatDouble(s.values[i]);
     }
     os << "\n";
   }
@@ -248,17 +240,18 @@ std::string TimeSeriesStore::renderJson() const {
   for (const Series& s : series_) {
     os << (firstSeries ? "\n" : ",\n");
     firstSeries = false;
-    os << "    {\"name\": \"" << s.name << "\", \"unit\": \"" << s.unit
+    os << "    {\"name\": \"" << jsonEscape(s.name) << "\", \"unit\": \""
+       << jsonEscape(s.unit)
        << "\", \"count\": " << s.allTime.count() << ", \"min\": "
-       << formatSampleValue(s.allTime.count() > 0 ? s.allTime.min() : 0.0)
+       << formatDouble(s.allTime.count() > 0 ? s.allTime.min() : 0.0)
        << ", \"max\": "
-       << formatSampleValue(s.allTime.count() > 0 ? s.allTime.max() : 0.0)
+       << formatDouble(s.allTime.count() > 0 ? s.allTime.max() : 0.0)
        << ", \"mean\": "
-       << formatSampleValue(s.allTime.count() > 0 ? s.allTime.mean() : 0.0)
+       << formatDouble(s.allTime.count() > 0 ? s.allTime.mean() : 0.0)
        << ", \"samples\": [";
     for (std::size_t i = 0; i < tickTimes_.size(); ++i) {
       os << (i == 0 ? "" : ", ") << "[" << tickTimes_[i] << ", "
-         << formatSampleValue(s.values[i]) << "]";
+         << formatDouble(s.values[i]) << "]";
     }
     os << "]}";
   }

@@ -142,8 +142,4 @@ class TimeSeriesStore {
   std::uint64_t sampleIntervalNs_ = 0;
 };
 
-/// Shortest-round-trip double rendering (same contract as the exporters):
-/// deterministic across runs, no locale dependence.
-std::string formatSampleValue(double v);
-
 }  // namespace vfpga::obs::monitor

@@ -457,7 +457,15 @@ TEST(KernelCheckpoint, CongruenceViolationIsDiagnosedNotSilent) {
   wrongWidth.ops[0].config = "count";  // registered, but at width 4
   wrongWidth.ops[0].configWidth = 6;
   EXPECT_THROW(kernel.restoreTask(wrongWidth), std::runtime_error);
-  EXPECT_TRUE(kernel.tasks().empty());  // neither task was admitted
+
+  fault::TaskCheckpoint wrongRegisters = unknown;
+  wrongRegisters.task = "misfit";
+  wrongRegisters.ops[0].config = "count";
+  const ConfigRegistry& reg = kernel.registry();
+  wrongRegisters.registers.assign(
+      reg.circuit(reg.byName("count")).ffCount() + 1, true);
+  EXPECT_THROW(kernel.restoreTask(wrongRegisters), std::runtime_error);
+  EXPECT_TRUE(kernel.tasks().empty());  // no task was admitted
 }
 
 /// A restored register snapshot must continue bit-exactly: same strip,
@@ -711,7 +719,8 @@ TEST(ClusterCheckpoint, SubmitFromCheckpointCompletesOnAnyDevice) {
     specs[i].profile = mediumPartialProfile();
   }
   cluster::DevicePool pool(sim, specs, cache);
-  pool.registerWorkload("count", named(lib::makeCounter(6), "count"), 4);
+  const cluster::WorkloadId count =
+      pool.registerWorkload("count", named(lib::makeCounter(6), "count"), 4);
   cluster::ClusterOptions copt;
   cluster::ClusterScheduler sched(sim, pool, copt);
 
@@ -724,7 +733,8 @@ TEST(ClusterCheckpoint, SubmitFromCheckpointCompletesOnAnyDevice) {
   op.configWidth = 4;
   op.cycles = 8000;
   ck.ops = {op};
-  ck.registers = std::vector<bool>(9, true);
+  ck.registers = std::vector<bool>(
+      pool.node(0).kernel().registry().circuit(count).ffCount(), true);
 
   // Unknown circuit and incongruent width are diagnosed rejections.
   fault::TaskCheckpoint ghost = ck;
@@ -733,6 +743,10 @@ TEST(ClusterCheckpoint, SubmitFromCheckpointCompletesOnAnyDevice) {
   fault::TaskCheckpoint wide = ck;
   wide.ops[0].configWidth = 6;
   EXPECT_THROW(sched.submitFromCheckpoint(wide, 0), std::runtime_error);
+  fault::TaskCheckpoint extraRegisters = ck;
+  extraRegisters.registers.push_back(true);
+  EXPECT_THROW(sched.submitFromCheckpoint(extraRegisters, 0),
+               std::runtime_error);
 
   sched.submitFromCheckpoint(ck, micros(10));
   sched.run();

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -284,11 +285,15 @@ TEST(Migration, ExtractedRunningTaskResumesOnSecondKernel) {
   while (a.runningExecCount() == 0) ASSERT_TRUE(sim.step());
   const auto movable = a.migratableTasks();
   ASSERT_EQ(movable.size(), 1u);
+  const std::vector<bool> registers =
+      LoadedCircuit(devA, a.partitionManager()->circuitIn(
+                              a.tasks()[movable[0]].partition))
+          .saveState();
   OsKernel::MigrationTicket ticket = a.extractForMigration(movable[0]);
   EXPECT_TRUE(ticket.fromRunning);
   EXPECT_GT(ticket.cost, 0);
-  EXPECT_FALSE(ticket.savedState.empty());
-  EXPECT_EQ(ticket.continuation.migratedStateBits, ticket.savedState.size());
+  EXPECT_FALSE(registers.empty());
+  EXPECT_EQ(ticket.continuation.migratedState, registers);
   EXPECT_EQ(a.tasks()[movable[0]].state, TaskState::kMigrated);
   // The continuation owes at most the original cycles and runs from `now`.
   ASSERT_EQ(ticket.continuation.ops.size(), 2u);
@@ -304,6 +309,106 @@ TEST(Migration, ExtractedRunningTaskResumesOnSecondKernel) {
   b.finalize();
   ASSERT_EQ(b.tasks().size(), 1u);
   EXPECT_EQ(b.tasks()[0].state, TaskState::kDone);
+}
+
+/// Two partitioned kernels, each on its own medium_partial device, with
+/// one counter circuit registered on both.
+struct KernelPair {
+  static OsOptions partitioned() {
+    OsOptions opt;
+    opt.policy = FpgaPolicy::kPartitionedVariable;
+    return opt;
+  }
+
+  Simulation sim;
+  DeviceProfile prof = mediumPartialProfile();
+  Device devA = prof.makeDevice();
+  Device devB = prof.makeDevice();
+  ConfigPort portA{devA, prof.port};
+  ConfigPort portB{devB, prof.port};
+  Compiler compA{devA};
+  Compiler compB{devB};
+  OsKernel a{sim, devA, portA, compA, partitioned()};
+  OsKernel b{sim, devB, portB, compB, partitioned()};
+  ConfigId cfg = kNoConfig;
+
+  KernelPair() {
+    const Netlist nl = named(lib::makeCounter(6), "count");
+    cfg = a.registerConfig(
+        compA.compile(nl, Region::columns(compA.geometry(), 0, 4)));
+    EXPECT_EQ(b.registerConfig(compB.compile(
+                  nl, Region::columns(compB.geometry(), 0, 4))),
+              cfg);
+  }
+
+  /// Task `t` of kernel `k` (on device `dev`), bound to its partition.
+  static LoadedCircuit live(Device& dev, const OsKernel& k, std::size_t t) {
+    return LoadedCircuit(
+        dev, k.partitionManager()->circuitIn(k.tasks()[t].partition));
+  }
+
+  /// Starts one long task on kernel a and runs until it computes; then
+  /// writes the complement of every other initial register value into its
+  /// registers and returns that pattern.
+  std::vector<bool> runWithPattern() {
+    TaskSpec t;
+    t.name = "carry";
+    t.ops = {FpgaExec{cfg, 200000}, CpuBurst{micros(5)}};
+    a.addTask(t);
+    a.start();
+    b.start();
+    while (a.runningExecCount() == 0) {
+      if (!sim.step()) ADD_FAILURE() << "task never ran";
+    }
+    const CompiledCircuit& c =
+        a.partitionManager()->circuitIn(a.tasks()[0].partition);
+    std::vector<bool> pattern(c.ffCount());
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      pattern[i] = c.initialState[i] != (i % 2 == 0);
+      devA.setFfStateAt(c.ffSites[i].x, c.ffSites[i].y, pattern[i]);
+    }
+    EXPECT_EQ(live(devA, a, 0).saveState(), pattern);
+    return pattern;
+  }
+
+  /// Runs until kernel b's task 0 holds its first grant; returns its
+  /// registers there.
+  std::vector<bool> registersAtFirstGrant() {
+    while (b.tasks()[0].state != TaskState::kRunningFpga) {
+      if (!sim.step()) {
+        ADD_FAILURE() << "continuation never ran";
+        return {};
+      }
+    }
+    return live(devB, b, 0).saveState();
+  }
+};
+
+// The destination computes on the registers the source held, not on the
+// circuit's initial values: the continuation carries the bits, and the
+// first grant writes them back.
+TEST(Migration, CarriesTheRegisterBitsToTheDestination) {
+  KernelPair k;
+  const std::vector<bool> pattern = k.runWithPattern();
+  ASSERT_FALSE(pattern.empty());
+  const std::uint64_t writesBefore = k.portB.stats().stateWrites;
+  OsKernel::MigrationTicket ticket = k.a.extractForMigration(0);
+  EXPECT_EQ(ticket.continuation.migratedState, pattern);
+  k.b.addTask(std::move(ticket.continuation));
+  EXPECT_EQ(k.registersAtFirstGrant(), pattern);
+  EXPECT_TRUE(k.b.tasks()[0].spec.migratedState.empty());
+  EXPECT_EQ(k.portB.stats().stateWrites, writesBefore + 1);
+}
+
+// A checkpoint restored into another kernel resumes from the checkpointed
+// registers the same way.
+TEST(Migration, RestoredCheckpointCarriesTheRegisterBits) {
+  KernelPair k;
+  const std::vector<bool> pattern = k.runWithPattern();
+  ASSERT_FALSE(pattern.empty());
+  const fault::TaskCheckpoint ck = k.a.buildCheckpoint(0, pattern);
+  EXPECT_EQ(k.b.restoreTask(ck), 0u);
+  EXPECT_EQ(k.registersAtFirstGrant(), pattern);
 }
 
 // ---- ClusterScheduler ------------------------------------------------------
@@ -450,10 +555,16 @@ TEST(ClusterScheduler, InvariantViolationDumpsEveryNodesRecorder) {
   });
   EXPECT_THROW(run->sched->run(), analysis::InvariantViolation);
   for (std::size_t d = 0; d < run->pool->nodeCount(); ++d) {
-    SCOPED_TRACE(run->pool->node(d).name());
+    const std::string& node = run->pool->node(d).name();
+    SCOPED_TRACE(node);
     EXPECT_EQ(run->pool->node(d).kernel().flightRecorder().dumpCount(), 1u);
+    EXPECT_TRUE(std::filesystem::exists(dir + "/vfpga_flight_" + node +
+                                        "_AL002_0.json"));
   }
-  EXPECT_TRUE(std::filesystem::exists(dir + "/vfpga_flight_AL002_0.json"));
+  // One bundle per node, none overwritten by another node's.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            static_cast<std::ptrdiff_t>(run->pool->nodeCount()));
 }
 
 // ---- transient heal / repair primitives ------------------------------------

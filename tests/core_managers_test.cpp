@@ -631,6 +631,8 @@ std::string columnRewriteTranscript(const DeviceProfile& prof) {
 
 // Each step's cost and resulting RAM contents are pinned, so a change in
 // how these paths build their bitstreams cannot move either unnoticed.
+// Installing the LFSR (overlay 1, prefetched circuit 2) includes its
+// initial-state writeback: 5 us overhead plus 8 bits at 500 ns.
 TEST(ColumnRewritePaths, PinnedOnMediumPartial) {
   EXPECT_EQ(columnRewriteTranscript(mediumPartialProfile()), R"(dyn.activate 0 cost=2287600 ram=5783081c350a6fbf
 dyn.activate 1 cost=4157600 ram=69bfe507414768cc
@@ -650,23 +652,23 @@ part.load 0 gc=0 cost=4043200 ram=4066b250671a45cc
 fixed.load cost=5958400 ram=5783081c350a6fbf
 ovl.res.install cost=4043200 ram=7d4d7ee102b5c038
 ovl.res.invoke 0 cost=2128000 ram=41295a1f5446ff4e
-ovl.res.invoke 1 cost=2128000 ram=b3092a2b64bbf719
+ovl.res.invoke 1 cost=2137000 ram=b3092a2b64bbf719
 ovl.res.invoke 0 cost=2128000 ram=41295a1f5446ff4e
 ovl.bare.invoke 0 cost=2128000 ram=5e14d7eaaf0e600f
-ovl.bare.invoke 1 cost=2128000 ram=ec3507de9e996844
+ovl.bare.invoke 1 cost=2137000 ram=ec3507de9e996844
 ovl.bare.invoke 0 cost=2128000 ram=5e14d7eaaf0e600f
 ovl.seeded.download cost=4043200 ram=7d4d7ee102b5c038
 ovl.seeded.invoke 0 cost=2128000 ram=41295a1f5446ff4e
-ovl.seeded.invoke 1 cost=2128000 ram=b3092a2b64bbf719
+ovl.seeded.invoke 1 cost=2137000 ram=b3092a2b64bbf719
 ovl.seeded.invoke 0 cost=2128000 ram=41295a1f5446ff4e
 pre.activate 0 cost=2128000 ram=d2781da075d8900f
 pre.activate 1 cost=2872800 ram=ccc614698d7ccf4e
-pre.activate 2 cost=2128000 ram=db4b6df8fd3aaf19
+pre.activate 2 cost=2137000 ram=db4b6df8fd3aaf19
 pre.activate 0 cost=3351600 ram=dbf9813f7e03cdcc
 pre.activate 1 cost=2458000 ram=447a195baee48921
-pre.activate 2 cost=1021600 ram=3d0927001a24248e
+pre.activate 2 cost=1030600 ram=3d0927001a24248e
 pre.activate 0 cost=2511200 ram=ccc614698d7ccf4e
-pre.activate 2 cost=5596800 ram=3d0927001a24248e
+pre.activate 2 cost=5605800 ram=3d0927001a24248e
 )");
 }
 
@@ -689,14 +691,14 @@ part.load 0 gc=0 cost=11876000 ram=4066b250671a45cc
 fixed.load cost=23752000 ram=5783081c350a6fbf
 ovl.res.install cost=11876000 ram=7d4d7ee102b5c038
 ovl.res.invoke 0 cost=11876000 ram=41295a1f5446ff4e
-ovl.res.invoke 1 cost=11876000 ram=b3092a2b64bbf719
+ovl.res.invoke 1 cost=11885000 ram=b3092a2b64bbf719
 ovl.res.invoke 0 cost=11876000 ram=41295a1f5446ff4e
 ovl.bare.invoke 0 cost=11876000 ram=5e14d7eaaf0e600f
-ovl.bare.invoke 1 cost=11876000 ram=ec3507de9e996844
+ovl.bare.invoke 1 cost=11885000 ram=ec3507de9e996844
 ovl.bare.invoke 0 cost=11876000 ram=5e14d7eaaf0e600f
 ovl.seeded.download cost=11876000 ram=7d4d7ee102b5c038
 ovl.seeded.invoke 0 cost=11876000 ram=41295a1f5446ff4e
-ovl.seeded.invoke 1 cost=11876000 ram=b3092a2b64bbf719
+ovl.seeded.invoke 1 cost=11885000 ram=b3092a2b64bbf719
 ovl.seeded.invoke 0 cost=11876000 ram=41295a1f5446ff4e
 )");
 }
@@ -750,6 +752,132 @@ TEST(ColumnRewritePaths, ReinstallingTheResidentKeepsTheActiveOverlay) {
     }
     EXPECT_EQ(changed, 0u) << "bits the reinstall changed";
     EXPECT_FALSE(om.invoke(o1).loaded);
+  }
+}
+
+// ------------------------------------------------------ install contract
+
+/// Watches one rig's installs: after each, the circuit's registers hold
+/// its initial values, and the port charged one state writeback iff the
+/// circuit needs initial state (some value is 1) and the port has state
+/// access. Then scribbles the complement into those registers, so a later
+/// install onto the same sites that skipped the initial values shows.
+struct InstallWatch {
+  explicit InstallWatch(Rig& rig)
+      : r(rig), writes(rig.port.stats().stateWrites) {}
+
+  void installed(LoadedCircuit lc, const std::string& what) {
+    SCOPED_TRACE(what);
+    const CompiledCircuit& c = lc.circuit();
+    EXPECT_EQ(lc.saveState(), c.initialState);
+    const bool charged = c.needsInitialState() && r.port.spec().stateAccess;
+    EXPECT_EQ(r.port.stats().stateWrites, writes + (charged ? 1 : 0));
+    writes = r.port.stats().stateWrites;
+    std::vector<bool> scribbled = c.initialState;
+    scribbled.flip();
+    for (std::size_t i = 0; i < c.ffSites.size(); ++i) {
+      r.dev.setFfStateAt(c.ffSites[i].x, c.ffSites[i].y, scribbled[i]);
+    }
+    EXPECT_EQ(lc.saveState(), scribbled);
+  }
+
+  Rig& r;
+  std::uint64_t writes;
+};
+
+/// Three 4-wide circuits: two that start from ones, one from zeros.
+std::vector<CompiledCircuit> installCircuits(Rig& r) {
+  std::vector<CompiledCircuit> v;
+  v.push_back(r.compile(lib::makeLfsr(8, 0b10111000), "lfsr_a", 4));
+  v.push_back(r.compile(lib::makeCounter(6), "ctr", 4));
+  v.push_back(r.compile(lib::makeLfsr(6, 0b110000), "lfsr_b", 4));
+  EXPECT_TRUE(v[0].needsInitialState() && v[2].needsInitialState());
+  EXPECT_FALSE(v[1].needsInitialState());
+  return v;
+}
+
+TEST(InstallContract, EveryManagerStartsACircuitFromItsInitialValues) {
+  DeviceProfile noReadback = mediumPartialProfile();
+  noReadback.port.stateAccess = false;
+  noReadback.name += " without state access";
+  for (const DeviceProfile& prof :
+       {mediumPartialProfile(), mediumSerialProfile(), noReadback}) {
+    SCOPED_TRACE(prof.name);
+    const bool partial = prof.port.partialReconfig;
+    {  // Dynamic loading with roll-back: every activation starts afresh.
+      Rig r(prof);
+      std::vector<ConfigId> ids;
+      for (CompiledCircuit& c : installCircuits(r)) {
+        ids.push_back(r.registry.add(std::move(c)));
+      }
+      DynamicLoader dl(r.dev, r.port, r.registry);
+      InstallWatch w(r);
+      for (const ConfigId id : {ids[0], ids[1], ids[2], ids[0]}) {
+        dl.activate(id, /*saveOutgoing=*/false);
+        w.installed(dl.loaded(), "dyn " + std::to_string(id));
+      }
+    }
+    {  // Partitions: load, release, load again into the same strip.
+      Rig r(prof);
+      std::vector<ConfigId> ids;
+      for (CompiledCircuit& c : installCircuits(r)) {
+        ids.push_back(r.registry.add(std::move(c)));
+      }
+      PartitionManager pm(r.dev, r.port, r.registry, r.compiler);
+      InstallWatch w(r);
+      std::vector<PartitionId> at;
+      for (const ConfigId id : ids) {
+        at.push_back(pm.load(id)->partition);
+        w.installed(pm.loaded(at.back()), "part " + std::to_string(id));
+      }
+      pm.unload(at[0]);
+      const PartitionId again = pm.load(ids[0])->partition;
+      w.installed(pm.loaded(again), "part reload");
+    }
+    {  // Overlays beside a resident, swapped back and forth.
+      Rig r(prof);
+      const std::vector<CompiledCircuit> cs = installCircuits(r);
+      OverlayManager om(r.dev, r.port, r.compiler, 4);
+      InstallWatch w(r);
+      om.installResident(cs[0]);
+      w.installed(om.resident(), "resident");
+      const OverlayId o1 = om.addOverlay(cs[1]);
+      const OverlayId o2 = om.addOverlay(cs[2]);
+      for (const OverlayId id : {o1, o2, o1, o2}) {
+        ASSERT_TRUE(om.invoke(id).loaded);
+        w.installed(om.activeOverlay(), "overlay " + std::to_string(id));
+      }
+    }
+    if (!partial) continue;  // segments and prefetch need a partial port
+    {  // Segments: the fourth faults one out, the first faults back in.
+      Rig r(prof);
+      SegmentManager sm(r.dev, r.port, r.compiler, ReplacementPolicy::kFifo);
+      std::vector<SegmentId> segs;
+      for (const CompiledCircuit& c : installCircuits(r)) {
+        segs.push_back(sm.addSegment(c));
+      }
+      segs.push_back(
+          sm.addSegment(r.compile(lib::makeLfsr(7, 0b1100000), "lfsr_c", 4)));
+      InstallWatch w(r);
+      for (const SegmentId id : {segs[0], segs[1], segs[2], segs[3], segs[0]}) {
+        ASSERT_TRUE(sm.access(id).fault);
+        w.installed(sm.loaded(id), "segment " + std::to_string(id));
+      }
+    }
+    {  // Prefetch: first visits, so each activation is one demand load.
+      Rig r(prof);
+      std::vector<ConfigId> ids;
+      for (CompiledCircuit& c : installCircuits(r)) {
+        ids.push_back(r.registry.add(std::move(c)));
+      }
+      PrefetchLoader pl(r.dev, r.port, r.registry, r.compiler);
+      InstallWatch w(r);
+      SimTime now = 0;
+      for (const ConfigId id : ids) {
+        now += pl.activate(id, now).stall + millis(1);
+        w.installed(pl.loaded(), "prefetch " + std::to_string(id));
+      }
+    }
   }
 }
 

@@ -526,13 +526,16 @@ TEST(ConfigPort, StatsAccumulate) {
   port.download(full);
   std::vector<std::uint32_t> one{1};
   port.download(makePartialBitstream(dev.image(), 64, one));
-  std::vector<bool> state;
-  port.readState(state);
+  const SimDuration moved =
+      port.chargeStateRead(8) + port.chargeStateWrite(8);
+  EXPECT_EQ(moved, port.stateReadCost(8) + port.stateWriteCost(8));
   EXPECT_EQ(port.stats().fullDownloads, 1u);
   EXPECT_EQ(port.stats().partialDownloads, 1u);
   EXPECT_EQ(port.stats().bitsWritten, full.bitCount() + 64u);
   EXPECT_EQ(port.stats().stateReads, 1u);
-  EXPECT_GT(port.stats().busyTime, 0u);
+  EXPECT_EQ(port.stats().stateWrites, 1u);
+  EXPECT_EQ(port.stats().stateBitsMoved, 16u);
+  EXPECT_GT(port.stats().busyTime, moved);
 }
 
 TEST(ConfigPort, NoStateAccessThrows) {
@@ -540,9 +543,9 @@ TEST(ConfigPort, NoStateAccessThrows) {
   ConfigPortSpec spec;
   spec.stateAccess = false;
   ConfigPort port(dev, spec);
-  std::vector<bool> state;
-  EXPECT_THROW(port.readState(state), std::logic_error);
-  EXPECT_THROW(port.writeState(state), std::logic_error);
+  EXPECT_THROW(port.chargeStateRead(8), std::logic_error);
+  EXPECT_THROW(port.chargeStateWrite(8), std::logic_error);
+  EXPECT_EQ(port.stats().busyTime, 0u);
 }
 
 // ---- ConfigPort::columnsBitstream -----------------------------------------

@@ -17,6 +17,7 @@
 #include "core/obs_bridge.hpp"
 #include "netlist/library/control.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/monitor/alerts.hpp"
 #include "obs/monitor/dashboard.hpp"
 #include "obs/monitor/health.hpp"
@@ -147,6 +148,36 @@ TEST(TimeSeries, CsvAndJsonAreByteDeterministic) {
   EXPECT_EQ(a.second, b.second);
   EXPECT_EQ(a.first.substr(0, a.first.find('\n')), "t_ns,sig");
   EXPECT_NE(a.second.find("\"sample_interval_ns\": 100"), std::string::npos);
+}
+
+// Control characters in a title, series or rule name are escaped, so the
+// dashboard JSON stays parseable.
+TEST(Dashboard, JsonEscapesControlCharactersInNames) {
+  TimeSeriesStore store(8);
+  const std::string series = "queue\tdepth\r\x01";
+  store.addSeries(series, [] { return 1.5; }, "jobs\t");
+  store.sampleAll(100);
+  AlertEngine engine;
+  AlertRule rule;
+  rule.name = "deep\tqueue";
+  rule.series = series;
+  rule.threshold = 1.0;
+  engine.addRule(rule);
+  engine.evaluate(100, store);
+  obs::monitor::DashboardInput in;
+  in.store = &store;
+  in.engine = &engine;
+  in.title = "cluster\tmonitor";
+  in.atNs = 100;
+  const obs::JsonValue doc =
+      obs::JsonValue::parse(obs::monitor::renderMonitorJson(in));
+  EXPECT_EQ(doc.at("title").asString(), in.title);
+  EXPECT_EQ(doc.at("timeseries").at("series").asArray().at(0).at("name")
+                .asString(),
+            series);
+  const obs::JsonValue& alert = doc.at("alerts").asArray().at(0);
+  EXPECT_EQ(alert.at("name").asString(), rule.name);
+  EXPECT_EQ(alert.at("series").asString(), series);
 }
 
 // ---- AlertEngine -----------------------------------------------------------

@@ -7,6 +7,7 @@
 #include "cluster/scheduler.hpp"
 #include "core/obs_bridge.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/monitor/dashboard.hpp"
 #include "obs/output_dir.hpp"
 #include "sim/rng.hpp"
@@ -332,7 +333,7 @@ int monitorCmd(const Args& a) {
             {{"rule", t.rule},
              {"to", t.to},
              {"severity", obs::monitor::alertSeverityName(t.severity)},
-             {"value", obs::monitor::formatSampleValue(t.value)}},
+             {"value", obs::formatDouble(t.value)}},
             0);
         dev0.flightRecorder().note(t.atNs, "alert " + t.rule + " -> " + t.to);
       });
