@@ -435,6 +435,40 @@ TEST(KernelCheckpoint, ParkAndPreemptWriteCheckpoints) {
   EXPECT_FALSE(lr.checkpoint.ops.empty());
 }
 
+// A hung execution's registers are garbage: a cadence tick during the
+// hang checkpoints the task without them and reads nothing back.
+TEST(KernelCheckpoint, HungExecutionCheckpointsNoRegisters) {
+  OsOptions opt = checkpointOptions(tempDir("hung"));
+  opt.ft.watchdogFactor = 20.0;  // a long hang, many cadence ticks
+  opt.ft.watchdogTripLimit = 1;
+  fault::FaultPlanSpec spec;
+  spec.execHangRate = 1.0;
+  fault::FaultPlan plan(spec);
+  opt.ft.plan = &plan;
+
+  KernelEnv env(mediumPartialProfile());
+  Simulation sim;
+  OsKernel kernel(sim, env.dev, env.port, env.compiler, opt);
+  const auto cfgs = registerThree(kernel, env.compiler, env.dev);
+  TaskSpec t;
+  t.name = "hang";
+  t.ops = {FpgaExec{cfgs[0], 20000}};
+  kernel.addTask(t);
+  kernel.run();
+  ASSERT_EQ(kernel.tasks()[0].state, TaskState::kParked);
+  std::size_t cadence = 0;
+  for (const obs::InstantRecord& i : kernel.spanTracer().instants()) {
+    if (i.name != "checkpoint" || i.attributes.at(1).second != "cadence") {
+      continue;
+    }
+    ++cadence;
+    EXPECT_EQ(i.attributes.at(4),
+              (std::pair<std::string, std::string>{"state_bits", "0"}));
+  }
+  EXPECT_GT(cadence, 10u);
+  EXPECT_EQ(env.port.stats().stateReads, 0u);
+}
+
 TEST(KernelCheckpoint, CongruenceViolationIsDiagnosedNotSilent) {
   KernelEnv env(mediumPartialProfile());
   Simulation sim;
