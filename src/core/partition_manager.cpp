@@ -29,14 +29,31 @@ PartitionManager::PartitionManager(Device& device, ConfigPort& port,
 bool PartitionManager::feasible(ConfigId id) const {
   const CompiledCircuit& c = registry_->circuit(id);
   if (!c.relocatable) return false;
+  const auto pinned = [this](const Strip& s) {
+    return std::find(pinned_.begin(), pinned_.end(), s.id) != pinned_.end();
+  };
   if (alloc_.isFixed()) {
     for (const Strip& s : alloc_.strips()) {
-      if (!s.faulty && s.width >= c.region.w) return true;
+      if (!s.faulty && !pinned(s) && s.width >= c.region.w) return true;
     }
     return false;
   }
-  return c.region.w <= alloc_.largestUsableSpan();
+  // Compaction packs each run between faulty columns, pinned strips
+  // included, so a run offers its width minus the pinned columns.
+  std::uint16_t best = 0;
+  std::uint16_t run = 0;
+  for (const Strip& s : alloc_.strips()) {
+    if (s.faulty) {
+      best = std::max(best, run);
+      run = 0;
+    } else if (!pinned(s)) {
+      run = static_cast<std::uint16_t>(run + s.width);
+    }
+  }
+  return c.region.w <= std::max(best, run);
 }
+
+void PartitionManager::pin(PartitionId id) { pinned_.push_back(id); }
 
 std::optional<PartitionManager::LoadResult> PartitionManager::load(
     ConfigId id) {
@@ -215,6 +232,7 @@ PartitionManager::QuarantineResult PartitionManager::quarantine(
     Occupant moved = std::move(occ);
     occupants_.erase(victim);
     occupants_[*grant] = std::move(moved);
+    std::replace(pinned_.begin(), pinned_.end(), victim, *grant);
     alloc_.release(victim);
     alloc_.quarantineColumn(column);
     ++ftStats_.quarantinedStrips;

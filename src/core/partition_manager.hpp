@@ -76,9 +76,12 @@ class PartitionManager {
   /// first and the blanking download time is returned (0 otherwise).
   SimDuration unload(PartitionId id);
 
-  /// Whether `id` could ever be satisfied on an empty device (quarantined
-  /// columns shrink what "ever" means).
+  /// Whether `id` could ever be satisfied on a device holding only the
+  /// pinned partitions (quarantined columns shrink what "ever" means).
   bool feasible(ConfigId id) const;
+  /// Marks a loaded partition as never unloaded (a kernel service): its
+  /// columns stop counting as room for other circuits in feasible().
+  void pin(PartitionId id);
 
   /// Outcome of a quarantine request for one failed column.
   struct QuarantineResult {
@@ -152,6 +155,7 @@ class PartitionManager {
     CompiledCircuit circuit;  ///< relocated copy for this strip
   };
   std::unordered_map<PartitionId, Occupant> occupants_;
+  std::vector<PartitionId> pinned_;  ///< see pin()
   std::uint64_t gcRuns_ = 0;
   std::uint64_t relocationsDone_ = 0;
   TraceSink sink_;

@@ -1,7 +1,13 @@
 // Property-based OS-kernel tests: randomly generated task sets must run to
 // completion under every policy, with accounting invariants intact, and
-// every run must be bit-deterministic.
+// every run must be bit-deterministic. A second suite adds services and
+// fault plans (hangs, strip failures and heals, scrub, a checkpoint
+// cadence) and checks the kernel's invariants after every event.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "core/os_kernel.hpp"
 #include "fabric/device_family.hpp"
@@ -126,6 +132,125 @@ INSTANTIATE_TEST_SUITE_P(
                           FpgaPolicy::kPartitionedFixed,
                           FpgaPolicy::kPartitionedVariable),
         ::testing::Values(1, 2, 3, 4)),
+    [](const auto& info) {
+      return std::string(fpgaPolicyName(std::get<0>(info.param))) + "_s" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+struct FaultyRun {
+  std::vector<SimTime> finishTimes;
+  std::uint64_t watchdogPreempts = 0;
+  std::uint64_t quarantinedStrips = 0;
+};
+
+/// A random task set with a random fault plan, stepped one event at a
+/// time with checkInvariants() after each. Partitioned policies also run
+/// a service that some executions call.
+FaultyRun runFaultyWorkload(FpgaPolicy policy, std::uint64_t seed) {
+  DeviceProfile prof = mediumPartialProfile();
+  Device dev = prof.makeDevice();
+  ConfigPort port(dev, prof.port);
+  Compiler compiler(dev);
+  Simulation sim;
+  Rng rng(seed * 7919 + 1);
+
+  fault::FaultPlanSpec spec;
+  spec.seed = seed;
+  spec.downloadCorruptRate = rng.uniform() * 0.2;
+  spec.stateCorruptRate = rng.uniform() * 0.2;
+  spec.meanUpsetsPerScrub = rng.uniform();
+  spec.execHangRate = rng.uniform() * 0.2;
+  for (int i = 0; i < 2; ++i) {
+    fault::StripFailureEvent ev;
+    ev.at = micros(100 + rng.below(3000));
+    ev.column = static_cast<std::uint16_t>(rng.below(12));
+    if (rng.bernoulli(0.5)) ev.healAfter = micros(200 + rng.below(2000));
+    spec.stripFailures.push_back(ev);
+  }
+  fault::FaultPlan plan(spec);
+
+  OsOptions opt;
+  opt.policy = policy;
+  if (policy == FpgaPolicy::kPartitionedFixed) opt.fixedWidths = {4, 4, 4};
+  if (policy == FpgaPolicy::kDynamicLoading) opt.fpgaSlice = millis(1);
+  opt.ft.plan = &plan;
+  opt.ft.scrubInterval = micros(200 + rng.below(400));
+  opt.ft.watchdogFactor = 3.0;
+  opt.ft.watchdogTripLimit = 3;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("vfpga_kernel_fuzz_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  opt.ft.checkpointDir = dir.string();
+  opt.ft.checkpointInterval = micros(150 + rng.below(300));
+  OsKernel kernel(sim, dev, port, compiler, opt);
+  kernel.flightRecorder().options().directory = dir.string();
+
+  std::vector<ConfigId> cfgs;
+  for (int i = 0; i < 4; ++i) {
+    Netlist nl = (i % 2 == 0) ? lib::makeCounter(6) : lib::makeChecksum(6);
+    nl.setName("c" + std::to_string(i));
+    cfgs.push_back(kernel.registerConfig(compiler.compile(
+        nl, Region::columns(dev.geometry(), 0, 4))));
+  }
+  const bool partitioned = policy == FpgaPolicy::kPartitionedFixed ||
+                           policy == FpgaPolicy::kPartitionedVariable;
+  if (partitioned) kernel.installService(cfgs[3]);
+
+  workloads::TaskSetParams params;
+  params.numTasks = 6 + rng.below(6);
+  params.numConfigs = partitioned ? 4 : 3;
+  params.execsPerTask = 1 + rng.below(3);
+  params.minCycles = 1000;
+  params.maxCycles = 300000;
+  params.meanArrivalGapMs = 0.1 + rng.uniform() * 0.5;
+  params.meanCpuBurstMs = 0.05 + rng.uniform() * 0.2;
+  for (auto& s : workloads::makeTaskSet(params, rng)) kernel.addTask(s);
+
+  kernel.start();
+  while (sim.step()) {
+    kernel.checkInvariants();
+    // A task that can never be served keeps the periodic ticks going.
+    if (sim.now() > millis(5000)) {
+      ADD_FAILURE() << "the simulation never drains";
+      return {};
+    }
+  }
+  kernel.finalize();
+  std::filesystem::remove_all(dir);
+
+  FaultyRun run;
+  for (const TaskRuntime& t : kernel.tasks()) {
+    EXPECT_TRUE(t.state == TaskState::kDone || t.state == TaskState::kParked)
+        << t.spec.name << " " << taskStateName(t.state);
+    run.finishTimes.push_back(t.finish);
+  }
+  run.watchdogPreempts = kernel.healthInputs().watchdogPreempts;
+  run.quarantinedStrips = kernel.healthInputs().quarantinedStrips;
+  EXPECT_TRUE(dev.configOk()) << dev.elaboration().faults.front();
+  return run;
+}
+
+class FaultyKernelFuzz
+    : public ::testing::TestWithParam<std::tuple<FpgaPolicy, std::uint64_t>> {
+};
+
+TEST_P(FaultyKernelFuzz, InvariantsHoldAfterEveryEvent) {
+  const auto [policy, seed] = GetParam();
+  const FaultyRun a = runFaultyWorkload(policy, seed);
+  const FaultyRun b = runFaultyWorkload(policy, seed);
+  EXPECT_EQ(a.finishTimes, b.finishTimes);
+  EXPECT_EQ(a.watchdogPreempts, b.watchdogPreempts);
+  EXPECT_EQ(a.quarantinedStrips, b.quarantinedStrips);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndSeeds, FaultyKernelFuzz,
+    ::testing::Combine(
+        ::testing::Values(FpgaPolicy::kExclusive, FpgaPolicy::kDynamicLoading,
+                          FpgaPolicy::kPartitionedFixed,
+                          FpgaPolicy::kPartitionedVariable),
+        ::testing::Values(1, 2, 3, 4, 5, 6)),
     [](const auto& info) {
       return std::string(fpgaPolicyName(std::get<0>(info.param))) + "_s" +
              std::to_string(std::get<1>(info.param));
