@@ -95,23 +95,18 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
     ++r.evicted;
     if (alloc_.largestFree() < width && alloc_.totalFree() >= width) {
       // Holes fragmented: compact. A moved segment is charged like any
-      // relocation and keeps its registers: read at the old columns,
-      // installed at the new ones, written back.
+      // relocation and keeps its registers: read at the old columns, and
+      // resumed by the install at the new ones.
       for (const auto& move : alloc_.compact()) {
         for (auto& [seg, res] : residency_) {
           if (res.strip != move.id) continue;
-          std::vector<bool> regs;
-          const bool carry =
-              res.placed.ffCount() > 0 && port_->spec().stateAccess;
-          if (carry) r.cost += saveRegisters(*dev_, *port_, res.placed, regs);
+          SealedState regs;
+          r.cost += saveSealed(*dev_, *port_, res.placed, regs, nullptr);
           res.placed = analysis::equiv::relocateProven(
               *compiler_, segments_[seg], move.toX0);
           r.cost += installCircuit(*dev_, *port_, res.placed,
-                                   res.placed.partialBitstream())
+                                   res.placed.partialBitstream(), {}, &regs)
                         .time();
-          if (carry) {
-            r.cost += restoreRegisters(*dev_, *port_, res.placed, regs);
-          }
         }
       }
     }
