@@ -69,7 +69,7 @@ int main() {
         makeCircuits(compiler, registry);
         DynamicLoader loader(dev, port, registry);
         for (ConfigId id : trace) {
-          demandStall += loader.activate(id).total;
+          demandStall += loader.activate(id, id).total;
         }
       }
 

@@ -47,7 +47,7 @@ int main() {
     ConfigId b = registry.add(
         compiler.compile(other, Region::columns(dev.geometry(), 0, 3)));
 
-    loader.activate(a);
+    loader.activate(a, a);
     {
       LoadedCircuit lc = loader.loaded();
       lc.setInput("d", true);
@@ -56,8 +56,8 @@ int main() {
         lc.tick();
       }
     }
-    const auto away = loader.activate(b);   // saves the register state
-    const auto back = loader.activate(a);   // restores it
+    const auto away = loader.activate(b, b);   // saves the register state
+    const auto back = loader.activate(a, a);   // restores it
     std::printf("%-14s %6zu %12.2f %12.2f %16.3f\n",
                 ("shift" + std::to_string(bits)).c_str(), bits,
                 toMicroseconds(away.saveTime), toMicroseconds(back.restoreTime),
@@ -93,9 +93,9 @@ int main() {
     const ConfigId b = registry.add(cb);
     DynamicLoader loader(dev, port, registry);
     // Measure the real switch costs once.
-    loader.activate(a);
-    const auto aToB = loader.activate(b);          // includes save of A
-    const auto bToA = loader.activate(a);          // includes restore of A
+    loader.activate(a, a);
+    const auto aToB = loader.activate(b, b);          // includes save of A
+    const auto bToA = loader.activate(a, a);          // includes restore of A
     const SimDuration swAB = aToB.total;
     const SimDuration swBA = bToA.total;
     const SimDuration execA = millis(20);

@@ -88,7 +88,7 @@ int main() {
       DynamicLoader loader(dev, port, registry);
       TechniqueResult r;
       for (std::size_t f : trace) {
-        auto cost = loader.activate(ids[f]);
+        auto cost = loader.activate(ids[f], ids[f]);
         r.stall += cost.total;
         if (cost.downloaded) ++r.loads;
       }

@@ -87,7 +87,7 @@ int main() {
     std::uint64_t switches = 0;
     for (int call = 0; call < 400; ++call) {
       const std::size_t f = rng.zipf(ids.size(), 1.0);
-      auto cost = loader.activate(ids[f]);
+      auto cost = loader.activate(ids[f], ids[f]);
       reconf += cost.total;
       if (cost.downloaded) ++switches;
       // Each call streams ~150k cycles through the loaded circuit.

@@ -80,7 +80,7 @@ int main() {
   std::uint64_t results[3] = {0, 0, 0};
 
   for (const FrameBurst& burst : stream) {
-    auto cost = loader.activate(codec[burst.standard]);
+    auto cost = loader.activate(codec[burst.standard], codec[burst.standard]);
     if (cost.downloaded) ++switches;
     reconfigTime += cost.total;
     LoadedCircuit lc = loader.loaded();

@@ -38,7 +38,7 @@ int main() {
   DynamicLoader loader(device, port, registry);
   const ConfigId adderId = registry.add(adder);
 
-  auto cost = loader.activate(adderId);
+  auto cost = loader.activate(adderId, adderId);
   std::printf("download took %.3f ms (simulated)\n",
               toMilliseconds(cost.total));
 
@@ -55,7 +55,7 @@ int main() {
   Netlist ctrNl = lib::makeCounter(6);
   const ConfigId ctrId = registry.add(
       compiler.compile(ctrNl, Region::columns(device.geometry(), 0, 5)));
-  loader.activate(ctrId);
+  loader.activate(ctrId, ctrId);
   LoadedCircuit ctr = loader.loaded();
   ctr.setInput("en", true);
   ctr.setInput("clr", false);
@@ -69,10 +69,10 @@ int main() {
 
   // 4. Preempt the counter (switch back to the adder), then resume it: the
   //    OS saved and restored its registers through the configuration port.
-  auto back = loader.activate(adderId);
+  auto back = loader.activate(adderId, adderId);
   std::printf("switch to adder: save %.1f us + download %.3f ms\n",
               toMicroseconds(back.saveTime), toMilliseconds(back.downloadTime));
-  loader.activate(ctrId);
+  loader.activate(ctrId, ctrId);
   LoadedCircuit resumed = loader.loaded();
   resumed.setInput("en", true);
   resumed.setInput("clr", false);

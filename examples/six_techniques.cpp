@@ -48,9 +48,9 @@ int main() {
         compiler.compile(named(lib::makeCounter(6), "count"), strip));
     ConfigId b = registry.add(
         compiler.compile(named(lib::makeChecksum(6), "csum"), strip));
-    auto c1 = loader.activate(a);
-    auto c2 = loader.activate(b);
-    auto c3 = loader.activate(a);
+    auto c1 = loader.activate(a, a);
+    auto c2 = loader.activate(b, b);
+    auto c3 = loader.activate(a, a);
     std::printf("1. DYNAMIC LOADING: three context switches cost "
                 "%.2f / %.2f / %.2f ms (download + state moves)\n",
                 toMilliseconds(c1.total), toMilliseconds(c2.total),

@@ -156,6 +156,9 @@ constexpr RuleInfo kRules[] = {
     {"TS005", Severity::kError, "queue/state mismatch",
      "a task sits in a scheduler queue whose required state it does not "
      "have"},
+    {"TS006", Severity::kError, "register snapshot without its execution",
+     "the dynamic loader holds a snapshot whose owner is no live task cut "
+     "mid-op on the snapshot's circuit"},
     {"SG001", Severity::kError, "segment residency corrupt",
      "a resident segment points at an idle or unknown strip"},
     {"SG002", Severity::kError, "segments share a strip",

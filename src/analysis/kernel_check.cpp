@@ -314,4 +314,26 @@ void verifyTaskQueues(std::span<const TaskRuntime> tasks,
   checkQueue(fpgaWaiting, TaskState::kWaitingFpga, "FPGA-waiting");
 }
 
+void verifySnapshots(std::span<const TaskRuntime> tasks,
+                     std::span<const SnapshotInfo> snapshots, Report& rep) {
+  for (const SnapshotInfo& snap : snapshots) {
+    const TaskRuntime* tr =
+        snap.owner < tasks.size() ? &tasks[snap.owner] : nullptr;
+    const FpgaExec* fx = tr != nullptr && tr->opIndex < tr->spec.ops.size()
+                             ? std::get_if<FpgaExec>(&tr->spec.ops[tr->opIndex])
+                             : nullptr;
+    if (fx != nullptr && !tr->terminal() && fx->config == snap.config &&
+        tr->cyclesRemaining > 0 && tr->cyclesRemaining < fx->cycles) {
+      continue;
+    }
+    rep.add("TS006",
+            "snapshot of config " + std::to_string(snap.config) +
+                (tr == nullptr ? " owned by no task"
+                               : " held for a task in state " +
+                                     std::string(stateName(tr->state)) +
+                                     " at op " + std::to_string(tr->opIndex)),
+            taskLoc(tasks, snap.owner));
+  }
+}
+
 }  // namespace vfpga::analysis

@@ -89,4 +89,16 @@ void verifyTaskQueues(std::span<const TaskRuntime> tasks,
                       std::span<const std::size_t> cpuReady,
                       std::span<const std::size_t> fpgaWaiting, Report& rep);
 
+/// One register snapshot the dynamic loader holds (DynamicLoader).
+struct SnapshotInfo {
+  std::size_t owner = 0;  ///< task index
+  ConfigId config = kNoConfig;
+};
+
+/// TS006: every snapshot belongs to a live task whose current op runs the
+/// snapshot's circuit and was cut mid-op (some, not all, of its cycles
+/// ran).
+void verifySnapshots(std::span<const TaskRuntime> tasks,
+                     std::span<const SnapshotInfo> snapshots, Report& rep);
+
 }  // namespace vfpga::analysis

@@ -414,6 +414,28 @@ TEST(KernelCheck, QueueStateMismatchFlagsTS005) {
   EXPECT_TRUE(hasRule(rep, "TS005"));
 }
 
+TEST(KernelCheck, SnapshotWithoutItsExecutionFlagsTS006) {
+  TaskSpec spec;
+  spec.ops = {FpgaExec{3, 100}, CpuBurst{10}};
+  std::vector<TaskRuntime> tasks(3);
+  for (auto& t : tasks) {
+    t.spec = spec;
+    t.state = TaskState::kWaitingFpga;
+    t.cyclesRemaining = 40;  // cut mid-op
+  }
+  tasks[1].state = TaskState::kDone;  // finished owner
+  tasks[2].cyclesRemaining = 100;     // op never ran
+  const std::vector<analysis::SnapshotInfo> snapshots{
+      {0, 3},                  // fine
+      {0, 4},                  // another circuit than the op's
+      {1, 3}, {2, 3}, {9, 3},  // done, fresh, no such task
+  };
+  Report rep;
+  analysis::verifySnapshots(tasks, snapshots, rep);
+  EXPECT_EQ(rep.errorCount(), 4u);
+  EXPECT_TRUE(hasRule(rep, "TS006"));
+}
+
 // ----------------------------------------------------- live-manager hooks
 
 /// Restores the invariant-check override on scope exit.

@@ -389,9 +389,9 @@ int reportCmd(const Args& a) {
     DynamicLoader loader(dev, port, cfgs);
     const ConfigId la = cfgs.add(count);
     const ConfigId lb = cfgs.add(csum);
-    loader.activate(la);
-    loader.activate(lb);
-    loader.activate(la);
+    loader.activate(la, la);
+    loader.activate(lb, lb);
+    loader.activate(la, la);
     publishMetrics(loader, reg);
   }
   {
