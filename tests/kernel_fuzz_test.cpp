@@ -1,8 +1,9 @@
 // Property-based OS-kernel tests: randomly generated task sets must run to
-// completion under every policy, with accounting invariants intact, and
-// every run must be bit-deterministic. A second suite adds services and
-// fault plans (hangs, strip failures and heals, scrub, a checkpoint
-// cadence) and checks the kernel's invariants after every event.
+// completion under every policy, with accounting invariants intact and
+// every cycle of work conserved, and every run must be bit-deterministic.
+// A second suite adds services and fault plans (hangs, strip failures and
+// heals, scrub, a checkpoint cadence) and checks the kernel's invariants
+// after every event.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,6 +24,18 @@ struct KernelRun {
   OsMetrics metrics;
   std::vector<SimTime> finishTimes;
 };
+
+/// Work conservation: a finished task that was never rolled back and never
+/// hung ran exactly the cycles its program asks of the fabric — no slice,
+/// resume, relocation, migration or checkpoint lost or repeated any.
+void expectWorkConserved(const OsKernel& kernel) {
+  const bool fabric = kernel.options().policy != FpgaPolicy::kSoftwareOnly;
+  for (const TaskRuntime& t : kernel.tasks()) {
+    if (!t.done() || t.rollbacks > 0 || t.watchdogTrips > 0) continue;
+    EXPECT_EQ(t.cyclesExecuted, fabric ? totalFpgaCycles(t.spec) : 0u)
+        << t.spec.name;
+  }
+}
 
 KernelRun runRandomWorkload(FpgaPolicy policy, std::uint64_t seed) {
   DeviceProfile prof = mediumPartialProfile();
@@ -64,6 +77,7 @@ KernelRun runRandomWorkload(FpgaPolicy policy, std::uint64_t seed) {
     kernel.addTask(spec);
   }
   kernel.run();
+  expectWorkConserved(kernel);
 
   KernelRun result;
   result.metrics = kernel.metrics();
@@ -186,20 +200,23 @@ FaultyRun runFaultyWorkload(FpgaPolicy policy, std::uint64_t seed) {
   OsKernel kernel(sim, dev, port, compiler, opt);
   kernel.flightRecorder().options().directory = dir.string();
 
+  // The init-1 lfsr's installs and resumes charge a writeback; the last
+  // circuit serves partitioned policies as a service.
   std::vector<ConfigId> cfgs;
-  for (int i = 0; i < 4; ++i) {
-    Netlist nl = (i % 2 == 0) ? lib::makeCounter(6) : lib::makeChecksum(6);
-    nl.setName("c" + std::to_string(i));
+  for (Netlist nl : {lib::makeCounter(6), lib::makeChecksum(6),
+                     lib::makeLfsr(8, 0b10111000), lib::makeCounter(6),
+                     lib::makeChecksum(6)}) {
+    nl.setName("c" + std::to_string(cfgs.size()));
     cfgs.push_back(kernel.registerConfig(compiler.compile(
         nl, Region::columns(dev.geometry(), 0, 4))));
   }
   const bool partitioned = policy == FpgaPolicy::kPartitionedFixed ||
                            policy == FpgaPolicy::kPartitionedVariable;
-  if (partitioned) kernel.installService(cfgs[3]);
+  if (partitioned) kernel.installService(cfgs.back());
 
   workloads::TaskSetParams params;
   params.numTasks = 6 + rng.below(6);
-  params.numConfigs = partitioned ? 4 : 3;
+  params.numConfigs = partitioned ? 5 : 4;
   params.execsPerTask = 1 + rng.below(3);
   params.minCycles = 1000;
   params.maxCycles = 300000;
@@ -218,6 +235,7 @@ FaultyRun runFaultyWorkload(FpgaPolicy policy, std::uint64_t seed) {
   }
   kernel.finalize();
   std::filesystem::remove_all(dir);
+  expectWorkConserved(kernel);
 
   FaultyRun run;
   for (const TaskRuntime& t : kernel.tasks()) {
