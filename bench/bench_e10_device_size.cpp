@@ -72,6 +72,7 @@ SizeResult runAt(std::uint16_t cols) {
 }  // namespace
 
 int main() {
+  BenchJson json("e10_device_size");
   tableHeader("E10", "device width sweep, fixed telecom-style workload "
                      "(partitioned-variable policy)");
   std::printf("%-6s %8s %10s %10s %10s %8s %14s\n", "cols", "CLBs",
@@ -84,11 +85,17 @@ int main() {
                 r.clbs, toMilliseconds(r.makespan), r.meanWaitMs,
                 toMilliseconds(r.configTime), 100 * r.busy,
                 toMilliseconds(r.makespan) * r.clbs / 1000.0);
+    const obs::Labels l{{"cols", std::to_string(cols)}};
+    json.sample("vfpga_bench_e10_makespan_ms", l, toMilliseconds(r.makespan));
+    json.sample("vfpga_bench_e10_wait_ms", l, r.meanWaitMs);
+    json.sample("vfpga_bench_e10_config_ms", l, toMilliseconds(r.configTime));
+    json.sample("vfpga_bench_e10_busy", l, r.busy);
   }
   std::printf("\nreading: makespan falls steeply while added columns admit "
               "more concurrent partitions, then flattens once every task "
               "fits — past that point extra area only costs money. The "
               "knee is the 'smaller FPGA with performance still satisfied' "
               "the paper's §1 wants you to buy.\n");
+  json.write();
   return 0;
 }

@@ -16,6 +16,7 @@ using namespace vfpga;
 using namespace vfpga::bench;
 
 int main() {
+  BenchJson json("e1_config_time");
   tableHeader("E1", "full serial configuration time per device profile");
   std::printf("%-16s %6s %6s %12s %10s %8s\n", "profile", "cols", "rows",
               "config_bits", "full_ms", "partial?");
@@ -27,6 +28,8 @@ int main() {
                 dev.configMap().totalBits(),
                 toMilliseconds(port.fullDownloadCost()),
                 p.port.partialReconfig ? "yes" : "no");
+    json.sample("vfpga_bench_e1_full_ms", {{"profile", p.name}},
+                toMilliseconds(port.fullDownloadCost()));
   }
 
   DeviceProfile prof = mediumPartialProfile();
@@ -46,6 +49,10 @@ int main() {
                 bc.name.c_str(), c.cellCount(), c.region.w, c.frames.size(),
                 toMilliseconds(partial), toMilliseconds(full),
                 double(full) / double(partial));
+    const obs::Labels l{{"circuit", bc.name}};
+    json.sample("vfpga_bench_e1_frames", l,
+                static_cast<double>(c.frames.size()));
+    json.sample("vfpga_bench_e1_partial_ms", l, toMilliseconds(partial));
   }
 
   tableHeader("E1",
@@ -66,6 +73,7 @@ int main() {
       const double perSec = 0.1 / toSeconds(cost);
       std::printf("%-16s %14.3f %18.1f\n", mode, toMilliseconds(cost),
                   perSec);
+      json.sample("vfpga_bench_e1_reconfigs_per_s", {{"mode", mode}}, perSec);
     }
   }
 
@@ -79,5 +87,6 @@ int main() {
                 "(paper: \"no more than 200 ms\") -> %s\n",
                 ms, ms <= 200.0 ? "within bound" : "OUT OF BOUND");
   }
+  json.write();
   return 0;
 }

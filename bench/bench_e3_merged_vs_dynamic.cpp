@@ -46,6 +46,7 @@ int main() {
   bigProf.name = "medium_double";
   bigProf.geometry.cols = 24;
 
+  BenchJson json("e3_merged_vs_dynamic");
   tableHeader("E3", "merged-resident (big FPGA) vs dynamic loading (small) "
                     "vs one-device-per-circuit farm");
   std::printf("%-9s %12s %12s %14s %14s %10s %12s %10s\n", "circuits",
@@ -167,6 +168,16 @@ int main() {
                 toMilliseconds(row.dynamicMakespan),
                 static_cast<unsigned long long>(row.dynamicDownloads),
                 toMilliseconds(row.farmMakespan), row.farmClbs);
+    const obs::Labels l{{"circuits", std::to_string(n)}};
+    json.sample("vfpga_bench_e3_merged_cols", l, row.mergedWidth);
+    json.sample("vfpga_bench_e3_merged_makespan_ms", l,
+                toMilliseconds(row.mergedMakespan));
+    json.sample("vfpga_bench_e3_dynload_makespan_ms", l,
+                toMilliseconds(row.dynamicMakespan));
+    json.sample("vfpga_bench_e3_downloads", l,
+                static_cast<double>(row.dynamicDownloads));
+    json.sample("vfpga_bench_e3_farm_makespan_ms", l,
+                toMilliseconds(row.farmMakespan));
   }
   std::printf("\nreading: merged wins on time but needs the double-width "
               "part; the per-circuit farm is fastest of all but burns n "
@@ -174,5 +185,6 @@ int main() {
               "a single half-size part — exactly the \"without requiring "
               "either a very large FPGA or many FPGAs\" positioning of "
               "§1.\n");
+  json.write();
   return 0;
 }

@@ -22,7 +22,7 @@ using namespace vfpga::bench;
 
 namespace {
 
-void allocatorChurnTable() {
+void allocatorChurnTable(BenchJson& json) {
   tableHeader("E5", "allocator churn: fragmentation per fit policy "
                     "(24 columns, widths 2-7, 20k ops)");
   std::printf("%-10s %10s %10s %12s %14s %12s\n", "fit", "mean_frag",
@@ -55,10 +55,16 @@ void allocatorChurnTable() {
                 frag.max(), static_cast<unsigned long long>(denials),
                 static_cast<unsigned long long>(gcWouldFix),
                 denials ? 100.0 * double(gcWouldFix) / double(denials) : 0.0);
+    const obs::Labels l{
+        {"fit", fit == FitPolicy::kFirstFit ? "first" : "best"}};
+    json.sample("vfpga_bench_e5_mean_frag", l, frag.mean());
+    json.sample("vfpga_bench_e5_denials", l, static_cast<double>(denials));
+    json.sample("vfpga_bench_e5_gc_would_fix", l,
+                static_cast<double>(gcWouldFix));
   }
 }
 
-void kernelGcTable() {
+void kernelGcTable(BenchJson& json) {
   tableHeader("E5", "kernel runs: garbage collection on vs off "
                     "(long narrow holders fragment the device; wide tasks "
                     "arrive mid-stream)");
@@ -122,16 +128,27 @@ void kernelGcTable() {
                 static_cast<unsigned long long>(m.garbageCollections),
                 static_cast<unsigned long long>(m.relocations),
                 toMilliseconds(m.configTime));
+    const obs::Labels l{{"gc", gc ? "on" : "off"}};
+    json.sample("vfpga_bench_e5_makespan_ms", l, toMilliseconds(m.makespan));
+    json.sample("vfpga_bench_e5_wide_wait_ms", l,
+                wideWait.mean() / double(kMillisecond));
+    json.sample("vfpga_bench_e5_gc_runs", l,
+                static_cast<double>(m.garbageCollections));
+    json.sample("vfpga_bench_e5_relocations", l,
+                static_cast<double>(m.relocations));
+    json.sample("vfpga_bench_e5_config_ms", l, toMilliseconds(m.configTime));
   }
 }
 
 }  // namespace
 
 int main() {
-  allocatorChurnTable();
-  kernelGcTable();
+  BenchJson json("e5_fragmentation_gc");
+  allocatorChurnTable(json);
+  kernelGcTable(json);
   std::printf("\nreading: a large share of allocation denials are pure "
               "fragmentation (GC would fix them); enabling GC cuts the wide "
               "tasks' waits at the price of relocation downloads.\n");
+  json.write();
   return 0;
 }
