@@ -83,11 +83,10 @@ class FaultPlan {
   const FaultPlanSpec& spec() const { return spec_; }
   const FaultCounters& counters() const { return counters_; }
 
-  /// ConfigPort tamper hook: may truncate the frame list and/or flip bits
-  /// in the frames that still reach the device. Mutates `bs` in place for
-  /// bit flips; truncation is reported through the returned DownloadTamper
-  /// (the port prunes and charges the prefix).
-  DownloadTamper tamperDownload(Bitstream& bs);
+  /// ConfigPort tamper hook: draws a truncation point and bit flips in the
+  /// frames that still reach the device, and reports both; the port applies
+  /// them after the stream CRC and charges the prefix. `bs` is only read.
+  DownloadTamper tamperDownload(const Bitstream& bs);
 
   /// Flips one bit of a saved register snapshot with stateCorruptRate
   /// probability. Returns true when a bit was flipped.

@@ -315,7 +315,7 @@ TEST(Engine, TamperHookInhibitsFastPath) {
   cod.dev.evaluate();
   EXPECT_TRUE(engine.lastServedCompiled());
 
-  port.setTamperHook([](Bitstream&) { return DownloadTamper{}; });
+  port.setTamperHook([](const Bitstream&) { return DownloadTamper{}; });
   EXPECT_TRUE(cod.dev.fastPathInhibited());
   cod.dev.evaluate();
   EXPECT_FALSE(engine.lastServedCompiled());
