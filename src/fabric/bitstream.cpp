@@ -29,15 +29,24 @@ bool Bitstream::crcOk() const {
 
 namespace {
 
+/// First image bit of frame `id`. The offset is computed in 64 bits, so a
+/// forged id cannot wrap around into a frame of the image. Throws
+/// std::out_of_range when the frame does not lie inside the image.
+std::uint32_t frameBase(const ConfigImage& image, std::uint32_t frameBits,
+                        std::uint32_t id) {
+  const std::uint64_t base = std::uint64_t{id} * frameBits;
+  if (base + frameBits > image.size()) {
+    throw std::out_of_range("frame id beyond image");
+  }
+  return static_cast<std::uint32_t>(base);
+}
+
 Frame extractFrame(const ConfigImage& image, std::uint32_t frameBits,
                    std::uint32_t id) {
   Frame f;
   f.id = id;
   f.payload.resize(frameBits);
-  const std::uint32_t base = id * frameBits;
-  if (static_cast<std::size_t>(base) + frameBits > image.size()) {
-    throw std::out_of_range("frame id beyond image");
-  }
+  const std::uint32_t base = frameBase(image, frameBits, id);
   for (std::uint32_t i = 0; i < frameBits; ++i) {
     f.payload[i] = image.get(base + i) ? 1 : 0;
   }
@@ -156,19 +165,13 @@ Bitstream deserializeBitstream(std::span<const std::uint8_t> bytes) {
 
 std::uint16_t frameCrc(const ConfigImage& image, std::uint32_t frameBits,
                        std::uint32_t frameId) {
-  const std::uint32_t base = frameId * frameBits;
-  if (static_cast<std::size_t>(base) + frameBits > image.size()) {
-    throw std::out_of_range("frame id beyond image");
-  }
-  return crc16Bits(image.raw().subspan(base, frameBits));
+  return crc16Bits(
+      image.raw().subspan(frameBase(image, frameBits, frameId), frameBits));
 }
 
 void applyBitstream(ConfigImage& image, const Bitstream& bs) {
   for (const Frame& f : bs.frames) {
-    const std::uint32_t base = f.id * bs.frameBits;
-    if (static_cast<std::size_t>(base) + bs.frameBits > image.size()) {
-      throw std::out_of_range("bitstream frame beyond image");
-    }
+    const std::uint32_t base = frameBase(image, bs.frameBits, f.id);
     for (std::uint32_t i = 0; i < bs.frameBits; ++i) {
       image.set(base + i, f.payload[i] != 0);
     }

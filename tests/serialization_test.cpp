@@ -1,6 +1,7 @@
 // Bitstream byte-format round trips and the VCD waveform writer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "compile/compiler.hpp"
@@ -10,6 +11,8 @@
 #include "fabric/vcd.hpp"
 #include "netlist/library/control.hpp"
 #include "sim/rng.hpp"
+#include "workloads/app_circuits.hpp"
+#include "workloads/compile_suite.hpp"
 
 namespace vfpga {
 namespace {
@@ -113,6 +116,72 @@ TEST(BitstreamSerialization, DetectsEveryKindOfDamage) {
   }
   // Pristine bytes still parse.
   EXPECT_NO_THROW(deserializeBitstream(bytes));
+
+  // Seeded byte mutations of real circuits' bitstreams: every mutant is
+  // rejected by the parser, or parses and then either applies to a
+  // device-sized image or is refused as lying outside it.
+  DeviceProfile prof = mediumPartialProfile();
+  Device dev = prof.makeDevice();
+  Compiler compiler(dev);
+  Rng rng(2024);
+  std::size_t parsed = 0;
+  for (const char* name : {"ct_counter", "tc_crc8", "nw_parity"}) {
+    const auto& suite = workloads::allSuites();
+    const auto app = std::find_if(suite.begin(), suite.end(),
+                                  [&](const auto& a) { return a.name == name; });
+    ASSERT_NE(app, suite.end()) << name;
+    const std::vector<std::uint8_t> pristine = serializeBitstream(
+        workloads::compileMinimal(compiler, app->netlist).partialBitstream());
+    for (int m = 0; m < 200; ++m) {
+      std::vector<std::uint8_t> b = pristine;
+      const std::uint64_t edits = 1 + rng.below(4);
+      for (std::uint64_t e = 0; e < edits; ++e) {
+        const std::size_t at = rng.below(b.size());
+        switch (rng.below(3)) {
+          case 0: b[at] ^= static_cast<std::uint8_t>(1u << rng.below(8)); break;
+          case 1: b[at] = static_cast<std::uint8_t>(rng.below(256)); break;
+          default: b.resize(at); break;
+        }
+        if (b.empty()) break;
+      }
+      Bitstream mutant;
+      try {
+        mutant = deserializeBitstream(b);
+      } catch (const std::runtime_error&) {
+        continue;
+      }
+      ++parsed;
+      ConfigImage image(dev.configMap().totalBits());
+      try {
+        applyBitstream(image, mutant);
+      } catch (const std::out_of_range&) {
+      }
+    }
+  }
+  // Edits confined to frame ids or the full flag keep the payload CRC
+  // intact, so some mutants do reach applyBitstream.
+  EXPECT_GT(parsed, 0u);
+}
+
+TEST(BitstreamSerialization, ForgedFrameIdIsRejectedOnApply) {
+  // The CRC covers payloads, not frame ids, so a forged id parses. At 64
+  // bits per frame, id 2^26 is 2^32 bits in: an offset computed in 32 bits
+  // would wrap to frame 0 and overwrite it.
+  Bitstream bs = sampleBitstream(64, 4, 31);
+  auto bytes = serializeBitstream(bs);
+  ASSERT_EQ(bytes[15], 0u);  // frame 0's id, little-endian, at offset 15
+  bytes[18] = 0x04;          // id = 0x04000000 = 2^26
+  const Bitstream forged = deserializeBitstream(bytes);
+  ASSERT_EQ(forged.frames[0].id, 1u << 26);
+
+  ConfigImage image(64 * 4);
+  EXPECT_THROW(applyBitstream(image, forged), std::out_of_range);
+  EXPECT_EQ(image, ConfigImage(64 * 4));  // frame 0 untouched
+  EXPECT_THROW(frameCrc(image, 64, 1u << 26), std::out_of_range);
+  const std::vector<std::uint32_t> ids{1u << 26};
+  EXPECT_THROW(makePartialBitstream(image, 64, ids), std::out_of_range);
+  Device dev(FabricGeometry{}, DeviceTiming{}, 64);
+  EXPECT_THROW(dev.applyBitstream(forged), std::out_of_range);
 }
 
 TEST(BitstreamSerialization, CompiledCircuitRoundTripsThroughBytes) {
