@@ -30,7 +30,7 @@ DynamicLoader::SwitchCost DynamicLoader::activate(ConfigId id, Owner owner,
   //    The snapshot is sealed before the fault plan gets a chance to rot
   //    it, so corruption is detected at restore time. Without a save the
   //    outgoing owner's intermediate state is lost (roll-back).
-  if (saveOutgoing && current_ != kNoConfig) {
+  if (saveOutgoing && current_ != kNoConfig && owner_ != kNoOwner) {
     Snapshot out{current_, {}};
     cost.saveTime = saveSealed(*dev_, *port_, registry_->circuit(current_),
                                out.state, plan_);

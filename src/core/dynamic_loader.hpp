@@ -68,6 +68,11 @@ class DynamicLoader {
 
   ConfigId current() const { return current_; }
 
+  /// Forgets whose registers the resident circuit holds (a hung
+  /// execution's garbage): its next activation, by any owner, installs the
+  /// circuit's initial values and saves nothing.
+  void dropOwner() { owner_ = kNoOwner; }
+
   /// A parked register snapshot and the circuit it was read from.
   struct Snapshot {
     ConfigId config = kNoConfig;
@@ -93,8 +98,10 @@ class DynamicLoader {
   Device* dev_;
   ConfigPort* port_;
   ConfigRegistry* registry_;
+  static constexpr Owner kNoOwner = ~Owner{0};
+
   ConfigId current_ = kNoConfig;
-  Owner owner_ = 0;  ///< whose registers the resident circuit holds
+  Owner owner_ = kNoOwner;  ///< whose registers the resident circuit holds
   std::unordered_map<Owner, Snapshot> saved_;
   Stats stats_;
   fault::RecoveryOptions recovery_;
