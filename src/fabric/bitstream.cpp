@@ -170,6 +170,8 @@ std::uint16_t frameCrc(const ConfigImage& image, std::uint32_t frameBits,
 }
 
 void applyBitstream(ConfigImage& image, const Bitstream& bs) {
+  // All or nothing: every frame is checked before the first is written.
+  for (const Frame& f : bs.frames) frameBase(image, bs.frameBits, f.id);
   for (const Frame& f : bs.frames) {
     const std::uint32_t base = frameBase(image, bs.frameBits, f.id);
     for (std::uint32_t i = 0; i < bs.frameBits; ++i) {

@@ -60,7 +60,8 @@ Bitstream makePartialBitstream(const ConfigImage& image,
                                std::uint32_t frameBits,
                                std::span<const std::uint32_t> frameIds);
 
-/// Applies a bitstream to an image (frame ids must be in range).
+/// Applies a bitstream to an image. All or nothing: a frame id outside the
+/// image throws std::out_of_range before any frame is written.
 void applyBitstream(ConfigImage& image, const Bitstream& bs);
 
 /// CRC-16 of one frame's worth of image bits (used by readback scrubbing

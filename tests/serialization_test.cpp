@@ -7,6 +7,7 @@
 #include "compile/compiler.hpp"
 #include "compile/loaded_circuit.hpp"
 #include "fabric/bitstream.hpp"
+#include "fabric/config_port.hpp"
 #include "fabric/device_family.hpp"
 #include "fabric/vcd.hpp"
 #include "netlist/library/control.hpp"
@@ -182,6 +183,28 @@ TEST(BitstreamSerialization, ForgedFrameIdIsRejectedOnApply) {
   EXPECT_THROW(makePartialBitstream(image, 64, ids), std::out_of_range);
   Device dev(FabricGeometry{}, DeviceTiming{}, 64);
   EXPECT_THROW(dev.applyBitstream(forged), std::out_of_range);
+
+  // All or nothing: frame 0 ahead of the forged frame is not written
+  // either, by the device or by the port (golden image and stats alike).
+  Bitstream mixed = sampleBitstream(64, 2, 5);
+  mixed.full = false;
+  mixed.frames[1].id = 1u << 26;
+  ASSERT_TRUE(mixed.crcOk());
+  ASSERT_NE(std::count(mixed.frames[0].payload.begin(),
+                       mixed.frames[0].payload.end(), 1),
+            0);
+  EXPECT_THROW(applyBitstream(image, mixed), std::out_of_range);
+  EXPECT_EQ(image, ConfigImage(64 * 4));
+  ConfigPort port(dev, ConfigPortSpec{});
+  const ConfigImage before = dev.image();
+  const std::uint64_t generation = dev.configGeneration();
+  const ConfigPortStats stats = port.stats();
+  EXPECT_THROW(dev.applyBitstream(mixed), std::out_of_range);
+  EXPECT_THROW(port.download(mixed), std::out_of_range);
+  EXPECT_EQ(dev.image(), before);
+  EXPECT_EQ(dev.configGeneration(), generation);
+  EXPECT_EQ(port.expectedImage(), before);
+  EXPECT_EQ(port.stats(), stats);
 }
 
 TEST(BitstreamSerialization, CompiledCircuitRoundTripsThroughBytes) {
