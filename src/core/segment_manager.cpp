@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "analysis/equiv/verify.hpp"
 #include "analysis/kernel_check.hpp"
 #include "core/circuit_io.hpp"
 
@@ -34,8 +33,7 @@ SegmentId SegmentManager::addSegment(const CompiledCircuit& circuit) {
   if (circuit.region.w > dev_->geometry().cols) {
     throw std::invalid_argument("segment wider than device");
   }
-  segments_.push_back(circuit);
-  return static_cast<SegmentId>(segments_.size() - 1);
+  return segments_.add(circuit);
 }
 
 std::optional<SegmentId> SegmentManager::evictionVictim() const {
@@ -81,7 +79,7 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
   r.fault = true;
   ++faults_;
 
-  const std::uint16_t width = segments_[id].region.w;
+  const std::uint16_t width = segments_.circuit(id).region.w;
   auto grant = alloc_.allocate(width);
   while (!grant) {
     // Evict until the segment fits; compaction merges the holes.
@@ -101,29 +99,28 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
         for (auto& [seg, res] : residency_) {
           if (res.strip != move.id) continue;
           SealedState regs;
-          r.cost += saveSealed(*dev_, *port_, res.placed, regs, nullptr);
-          res.placed = analysis::equiv::relocateProven(
-              *compiler_, segments_[seg], move.toX0);
-          r.cost += installCircuit(*dev_, *port_, res.placed,
-                                   res.placed.partialBitstream(), {}, &regs)
+          r.cost += saveSealed(*dev_, *port_, res.placed->circuit, regs,
+                               nullptr);
+          res.placed = &segments_.placed(seg, move.toX0, *compiler_);
+          r.cost += installCircuit(*dev_, *port_, res.placed->circuit,
+                                   res.placed->partial, {}, &regs)
                         .time();
         }
       }
     }
     grant = alloc_.allocate(width);
   }
-  const Strip& strip = alloc_.strip(*grant);
-  CompiledCircuit placed =
-      analysis::equiv::relocateProven(*compiler_, segments_[id], strip.x0);
-  r.cost += installCircuit(*dev_, *port_, placed, placed.partialBitstream())
+  const Placed& placed =
+      segments_.placed(id, alloc_.strip(*grant).x0, *compiler_);
+  r.cost += installCircuit(*dev_, *port_, placed.circuit, placed.partial)
                 .time();
-  residency_[id] = Residency{*grant, clock_, clock_, std::move(placed)};
+  residency_[id] = Residency{*grant, clock_, clock_, &placed};
   if (analysis::invariantChecksEnabled()) checkInvariants();
   return r;
 }
 
 LoadedCircuit SegmentManager::loaded(SegmentId id) {
-  return LoadedCircuit(*dev_, residency_.at(id).placed);
+  return LoadedCircuit(*dev_, residency_.at(id).placed->circuit);
 }
 
 void SegmentManager::checkInvariants() const {
