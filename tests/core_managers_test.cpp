@@ -185,6 +185,24 @@ TEST_F(ManagerTest, PartitionExhaustionThenRelease) {
   EXPECT_TRUE(pm.load(c).has_value());
 }
 
+TEST_F(ManagerTest, ReloadingAStripReusesTheRegistrysRelocatedCopy) {
+  PartitionManager pm(dev_, port_, registry_, compiler_, {});
+  ConfigId a = registerCounter(6, 4);
+  ConfigId b = registerChecksum(6, 4);
+  ASSERT_TRUE(pm.load(b));  // [0,4), so `a` has to move to column 4
+  auto first = pm.load(a);
+  ASSERT_TRUE(first);
+  const CompiledCircuit* placed = &pm.circuitIn(first->partition);
+  EXPECT_EQ(placed->region.x0, 4);
+  pm.unload(first->partition);
+  auto again = pm.load(a);
+  ASSERT_TRUE(again);
+  // Same strip, same object: the registry relocated `a` there once.
+  EXPECT_EQ(&pm.circuitIn(again->partition), placed);
+  EXPECT_EQ(&registry_.placed(a, 4, compiler_).circuit, placed);
+  EXPECT_TRUE(dev_.configOk()) << dev_.elaboration().faults.front();
+}
+
 TEST_F(ManagerTest, GarbageCollectionRelocatesLiveState) {
   PartitionManager pm(dev_, port_, registry_, compiler_, {});
   ConfigId a = registerCounter(6, 4);  // [0,4)
