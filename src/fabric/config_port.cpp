@@ -47,12 +47,16 @@ Bitstream ConfigPort::columnsBitstream(const ConfigImage& src,
     }
     return makeFullBitstream(merged, frameBits);
   }
+  // A frame is unchanged only when both the RAM and the golden image hold
+  // it: after a failed download they differ, and a frame skipped for
+  // matching the RAM would leave a stale intent for scrub() to restore.
   std::vector<std::uint32_t> frames;
   for (std::uint32_t f = f0; f < f1; ++f) {
     const auto bits = [&](const ConfigImage& img) {
       return img.raw().subspan(f * frameBits, frameBits);
     };
-    if (!changedOnly || !std::ranges::equal(bits(src), bits(ram))) {
+    if (!changedOnly || !std::ranges::equal(bits(src), bits(ram)) ||
+        !std::ranges::equal(bits(src), bits(expected_))) {
       frames.push_back(f);
     }
   }

@@ -614,6 +614,7 @@ TEST(ConfigPort, ColumnsBitstreamChangedOnlyKeepsDifferingFrames) {
   const std::uint32_t frames = map.frameCount();
   for (int trial = 0; trial < 8; ++trial) {
     fillRam(dev, rng);
+    port.resyncExpected();  // the golden image holds what the RAM holds
     // The source differs from the RAM in one bit of a few random frames.
     ConfigImage src = dev.image();
     std::set<std::uint32_t> touched;
@@ -646,6 +647,7 @@ TEST(ConfigPort, ColumnsBitstreamEmptyWhenNothingDiffers) {
   Device dev(tinyGeom(), DeviceTiming{}, 64);
   ConfigPort port(dev, ConfigPortSpec{});
   fillRam(dev, rng);
+  port.resyncExpected();
   // Equal to the RAM inside columns [1, 2], random everywhere else.
   ConfigImage src = randomImage(dev.configMap().totalBits(), rng);
   const auto [f0, f1] = dev.configMap().framesOfColumns(1, 2);
@@ -654,6 +656,37 @@ TEST(ConfigPort, ColumnsBitstreamEmptyWhenNothingDiffers) {
   }
   EXPECT_TRUE(port.columnsBitstream(src, 1, 2, true).frames.empty());
   EXPECT_EQ(port.columnsBitstream(src, 1, 2, false).frameCount(), f1 - f0);
+}
+
+TEST(ConfigPort, ColumnsBitstreamChangedOnlyKeepsFramesTheGoldenImageLacks) {
+  // A truncated download leaves the golden image holding its intent and
+  // the RAM its old frames. Going back to the old image must still write
+  // those frames, though they match the RAM: a skipped one would keep the
+  // stale intent, and scrub() would restore it over the RAM.
+  Rng rng(15);
+  Device dev(tinyGeom(), DeviceTiming{}, 64);
+  ConfigPort port(dev, ConfigPortSpec{});
+  const ConfigImage old = dev.image();
+  const ConfigImage intent = randomImage(dev.configMap().totalBits(), rng);
+  port.setTamperHook([](const Bitstream&) { return DownloadTamper{0, {}}; });
+  port.download(port.columnsBitstream(intent, 1, 2, false));
+  port.setTamperHook({});
+  ASSERT_EQ(dev.image(), old);
+  const Bitstream back = port.columnsBitstream(old, 1, 2, true);
+  const auto [f0, f1] = dev.configMap().framesOfColumns(1, 2);
+  std::vector<std::uint32_t> want;
+  for (std::uint32_t f = f0; f < f1; ++f) {
+    if (!std::ranges::equal(old.raw().subspan(f * 64, 64),
+                            intent.raw().subspan(f * 64, 64))) {
+      want.push_back(f);
+    }
+  }
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(frameIds(back), want);
+  port.download(back);
+  EXPECT_EQ(port.expectedImage(), old);
+  EXPECT_EQ(port.scrub().repairedFrames, 0u);
+  EXPECT_EQ(dev.image(), old);
 }
 
 TEST(ConfigPort, ColumnsBitstreamOnSerialPortIsTheWholeMergedImage) {
