@@ -71,6 +71,7 @@ DynamicLoader::SwitchCost DynamicLoader::activate(ConfigId id, Owner owner,
   // task or try a different configuration; the config RAM stays as-is
   // until the next download or scrub repairs it.
   cost.downloadFailed = !in.ok();
+  cost.resumeCorrupt = in.resumeCorrupt;
   if (in.resumeCorrupt) ++stats_.stateCrcFailures;
   if (saved != saved_.end()) saved_.erase(saved);
   cost.restoreTime = in.stateTime;

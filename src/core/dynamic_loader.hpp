@@ -43,6 +43,8 @@ class DynamicLoader {
     bool downloaded = false;
     bool restoredSavedState = false;
     bool downloadFailed = false; ///< retry budget exhausted, config bad
+    bool resumeCorrupt = false;  ///< snapshot failed its CRC: the circuit
+                                 ///< restarted from its initial values
   };
 
   struct Stats {

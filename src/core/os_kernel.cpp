@@ -771,9 +771,8 @@ void OsKernel::dispatchWholeDevice() {
   grant(t, sim_->now());
   TaskRuntime& tr = task(t);
   const FpgaExec& fx = currentExec(t);
-  const bool preemptive = options_.policy == FpgaPolicy::kDynamicLoading &&
-                          options_.fpgaSlice > 0 &&
-                          !tr.runToCompletionNext;
+  bool preemptive = options_.policy == FpgaPolicy::kDynamicLoading &&
+                    options_.fpgaSlice > 0 && !tr.runToCompletionNext;
   tr.runToCompletionNext = false;
   // A restored task's carried registers become its snapshot, which this
   // activation resumes.
@@ -825,6 +824,15 @@ void OsKernel::dispatchWholeDevice() {
       dispatchWholeDevice();
     });
     return;
+  }
+  if (cost.resumeCorrupt) {
+    // The snapshot rotted, so the circuit restarted from its initial
+    // values: a roll-back. The whole op is owed again, and the aging rule
+    // runs this execution to completion.
+    ++tr.rollbacks;
+    ++cRollbacks_;
+    tr.cyclesRemaining = fx.cycles;
+    preemptive = false;
   }
 
   // A preemptive execution runs one slice, rounded to whole circuit

@@ -13,7 +13,8 @@
 //                         tasks; with fpgaSlice > 0 executions are
 //                         preempted on the slice boundary, saving register
 //                         state through the configuration port (or rolling
-//                         back when saveStateOnPreempt is false);
+//                         back when saveStateOnPreempt is false, or when
+//                         the saved state fails its CRC at the resume);
 //  * kPartitionedFixed / kPartitionedVariable — §4: column-strip
 //                         partitions, concurrent execution, and (variable
 //                         mode) split/merge plus garbage collection.

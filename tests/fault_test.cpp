@@ -491,10 +491,15 @@ TEST(FaultCampaign, StateCorruptionDetectedAndTaskStillFinishes) {
     EXPECT_EQ(t.state, TaskState::kDone) << t.spec.name;
   }
   // Snapshot rot was caught by the CRC (restarted from initial state
-  // rather than resuming with garbage).
-  EXPECT_GT(faultCounter(kernel, opt.policy,
-                         "vfpga_fault_state_corruptions_total"),
-            0u);
+  // rather than resuming with garbage), and each restart is a roll-back
+  // that owes the whole op again.
+  const std::uint64_t corruptions =
+      faultCounter(kernel, opt.policy, "vfpga_fault_state_corruptions_total");
+  EXPECT_GT(corruptions, 0u);
+  EXPECT_EQ(kernel.metrics().rollbacks, corruptions);
+  std::uint64_t taskRollbacks = 0;
+  for (const TaskRuntime& t : kernel.tasks()) taskRollbacks += t.rollbacks;
+  EXPECT_EQ(taskRollbacks, corruptions);
 }
 
 // ---- fuzz under faults ----------------------------------------------------
