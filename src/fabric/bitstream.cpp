@@ -163,10 +163,10 @@ Bitstream deserializeBitstream(std::span<const std::uint8_t> bytes) {
   return bs;
 }
 
-std::uint16_t frameCrc(const ConfigImage& image, std::uint32_t frameBits,
-                       std::uint32_t frameId) {
-  return crc16Bits(
-      image.raw().subspan(frameBase(image, frameBits, frameId), frameBits));
+std::span<const std::uint8_t> imageFrame(const ConfigImage& image,
+                                         std::uint32_t frameBits,
+                                         std::uint32_t frameId) {
+  return image.raw().subspan(frameBase(image, frameBits, frameId), frameBits);
 }
 
 void applyBitstream(ConfigImage& image, const Bitstream& bs) {

@@ -17,6 +17,7 @@
 #include "netlist/library/coding.hpp"
 #include "netlist/library/control.hpp"
 #include "netlist/library/datapath.hpp"
+#include "util/hash.hpp"
 #include "workloads/taskset.hpp"
 
 namespace vfpga {
@@ -300,6 +301,39 @@ TEST(ConfigPortFaults, ScrubRepairsUpsetsTowardGoldenImage) {
   EXPECT_EQ(dev.image(), port.expectedImage());
   // A clean device scrubs clean.
   EXPECT_EQ(port.scrub().repairedFrames, 0u);
+}
+
+// Flipping bits {k, k+4, k+11, k+16} of a frame adds the CRC-16 generator
+// x^16 + x^12 + x^5 + 1 to it, so the frame's CRC stays the same: only a
+// comparison of the frames themselves finds the upset.
+TEST(ConfigPortFaults, UpsetThatKeepsTheFrameCrcIsFound) {
+  DeviceProfile prof = mediumPartialProfile();
+  Device dev = prof.makeDevice();
+  ConfigPort port(dev, prof.port);
+  const std::uint32_t frameBits = dev.configMap().frameBits();
+  const std::uint32_t frame = 3;
+  const std::uint32_t base = frame * frameBits;
+  const std::vector<std::uint32_t> pattern = {40, 44, 51, 56};
+  ConfigImage upset = dev.image();
+  for (std::uint32_t b : pattern) upset.set(base + b, true);
+  ASSERT_EQ(crc16Bits(imageFrame(upset, frameBits, frame)),
+            crc16Bits(imageFrame(dev.image(), frameBits, frame)));
+
+  // Behind the port's back: the scrubber repairs the frame.
+  for (std::uint32_t b : pattern) dev.setConfigBit(base + b, true);
+  EXPECT_EQ(port.scrub().repairedFrames, 1u);
+  EXPECT_EQ(dev.image(), port.expectedImage());
+
+  // On the wire: readback verification counts the frame as bad.
+  const std::vector<std::uint32_t> ids{frame};
+  const Bitstream bs = makePartialBitstream(dev.image(), frameBits, ids);
+  port.setTamperHook([&pattern](const Bitstream&) {
+    DownloadTamper t;
+    for (std::uint32_t b : pattern) t.flips.push_back({0, b});
+    return t;
+  });
+  port.download(bs);
+  EXPECT_EQ(port.verifyDownload(bs).badFrames, 1u);
 }
 
 // ---- fault lint -----------------------------------------------------------

@@ -178,7 +178,7 @@ TEST(BitstreamSerialization, ForgedFrameIdIsRejectedOnApply) {
   ConfigImage image(64 * 4);
   EXPECT_THROW(applyBitstream(image, forged), std::out_of_range);
   EXPECT_EQ(image, ConfigImage(64 * 4));  // frame 0 untouched
-  EXPECT_THROW(frameCrc(image, 64, 1u << 26), std::out_of_range);
+  EXPECT_THROW(imageFrame(image, 64, 1u << 26), std::out_of_range);
   const std::vector<std::uint32_t> ids{1u << 26};
   EXPECT_THROW(makePartialBitstream(image, 64, ids), std::out_of_range);
   Device dev(FabricGeometry{}, DeviceTiming{}, 64);
