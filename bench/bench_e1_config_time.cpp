@@ -46,12 +46,13 @@ int main() {
     const SimDuration partial = port.downloadCost(c.partialBitstream());
     const SimDuration full = port.downloadCost(c.fullBitstream());
     std::printf("%-12s %6zu %6u %8zu %10.3f %10.3f %8.1fx\n",
-                bc.name.c_str(), c.cellCount(), c.region.w, c.frames.size(),
+                bc.name.c_str(), c.cellCount(), c.region.w,
+                c.partialBitstream().frameCount(),
                 toMilliseconds(partial), toMilliseconds(full),
                 double(full) / double(partial));
     const obs::Labels l{{"circuit", bc.name}};
     json.sample("vfpga_bench_e1_frames", l,
-                static_cast<double>(c.frames.size()));
+                static_cast<double>(c.partialBitstream().frameCount()));
     json.sample("vfpga_bench_e1_partial_ms", l, toMilliseconds(partial));
   }
 

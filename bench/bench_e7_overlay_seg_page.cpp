@@ -156,8 +156,8 @@ int main() {
         PageManager pm(prof.port, frameBits, po);
         std::vector<ConfigId> fns;
         for (auto& c : circuits) {
-          fns.push_back(
-              pm.addFunction(static_cast<std::uint32_t>(c.frames.size())));
+          fns.push_back(pm.addFunction(static_cast<std::uint32_t>(
+              c.partialBitstream().frameCount())));
         }
         TechniqueResult r;
         for (std::size_t f : trace) {

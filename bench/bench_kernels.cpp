@@ -189,7 +189,7 @@ void BM_FullCompile(benchmark::State& state) {
   for (auto _ : state) {
     CompiledCircuit c =
         compiler.compile(nl, Region::columns(dev.geometry(), 0, 5));
-    benchmark::DoNotOptimize(c.frames.size());
+    benchmark::DoNotOptimize(c.partialBitstream().frameCount());
   }
 }
 BENCHMARK(BM_FullCompile);

@@ -32,7 +32,8 @@ int main() {
   CompiledCircuit adder =
       compiler.compile(adderNl, Region::columns(device.geometry(), 0, 5));
   std::printf("adder: %zu LUT cells, %zu ports, %zu config frames\n",
-              adder.cellCount(), adder.portCount(), adder.frames.size());
+              adder.cellCount(), adder.portCount(),
+              adder.partialBitstream().frameCount());
 
   ConfigRegistry registry;
   DynamicLoader loader(device, port, registry);

@@ -91,15 +91,14 @@ constexpr RuleInfo kRules[] = {
      "net's occupied nodes"},
     // ---- bitstream / frames (BS) --------------------------------------------
     {"BS001", Severity::kError, "frame outside device",
-     "a circuit claims a configuration frame beyond the device's frame "
-     "count"},
+     "a circuit's partial bitstream carries a frame beyond the device's "
+     "frame count"},
     {"BS002", Severity::kError, "frame outside region",
-     "a circuit claims a configuration frame (or sets an image bit) outside "
-     "its own column range; downloading it would overwrite a neighbour "
-     "partition"},
-    {"BS003", Severity::kError, "image size mismatch",
-     "the circuit's configuration image does not match the device's "
-     "configuration RAM size"},
+     "a circuit's partial bitstream carries a frame outside its own column "
+     "range; downloading it would overwrite a neighbour partition"},
+    {"BS003", Severity::kError, "frame size mismatch",
+     "a frame of the circuit's partial bitstream does not hold the "
+     "configuration map's frame size"},
     // ---- port bindings (PT) -------------------------------------------------
     {"PT001", Severity::kError, "pad slot out of range",
      "a port is bound to a pad slot the device does not have"},

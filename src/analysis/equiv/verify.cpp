@@ -107,8 +107,9 @@ CompiledCircuit relocateProven(Compiler& compiler, const CompiledCircuit& c,
                                std::uint16_t x0) {
   CompiledCircuit r = compiler.relocate(c, x0);
   if (x0 != c.region.x0 && invariantChecksEnabled()) {
-    Device scratch(compiler.geometry(), compiler.timing(), r.frameBits);
-    scratch.applyBitstream(r.fullBitstream());
+    Device scratch(compiler.geometry(), compiler.timing(),
+                   r.partialBitstream().frameBits);
+    scratch.applyBitstream(r.partialBitstream());
     verifyConfiguredOrThrow(scratch, r, "Compiler::relocate post-condition");
   }
   return r;

@@ -240,18 +240,6 @@ void lintRoutes(const RouteResult& routes, const RoutingGraph& rrg,
 
 void lintBitstream(const CompiledCircuit& c, const FabricGeometry& g,
                    const ConfigMap& cmap, Report& rep) {
-  // BS003 first: without a correctly sized image the bit scan is moot.
-  if (c.image.size() != cmap.totalBits()) {
-    Location loc;
-    loc.kind = Location::Kind::kFrame;
-    rep.add("BS003",
-            "image holds " + std::to_string(c.image.size()) +
-                " bit(s), configuration RAM is " +
-                std::to_string(cmap.totalBits()),
-            loc);
-    return;
-  }
-
   const auto [firstFrame, lastFrame] =
       cmap.framesOfColumns(c.region.x0, c.region.x1());
   auto frameLoc = [&](std::uint32_t f) {
@@ -261,32 +249,29 @@ void lintBitstream(const CompiledCircuit& c, const FabricGeometry& g,
     if (f < cmap.frameCount()) loc.x = cmap.columnOfFrame(f);
     return loc;
   };
-  for (std::uint32_t f : c.frames) {
-    if (f >= cmap.frameCount()) {
+  const Bitstream& bs = c.partialBitstream();
+  for (const Frame& f : bs.frames) {
+    if (f.id >= cmap.frameCount()) {
       rep.add("BS001",
-              "claimed frame " + std::to_string(f) + " of " +
+              "frame " + std::to_string(f.id) + " of " +
                   std::to_string(cmap.frameCount()),
-              frameLoc(f));
-    } else if (f < firstFrame || f >= lastFrame) {
+              frameLoc(f.id));
+    } else if (f.id < firstFrame || f.id >= lastFrame) {
       rep.add("BS002",
-              "claimed frame " + std::to_string(f) +
+              "frame " + std::to_string(f.id) +
                   " outside the circuit's frame range [" +
                   std::to_string(firstFrame) + ".." +
                   std::to_string(lastFrame) + ")",
-              frameLoc(f));
+              frameLoc(f.id));
     }
-  }
-  for (std::uint32_t bit = 0; bit < c.image.size(); ++bit) {
-    if (!c.image.get(bit)) continue;
-    const std::uint32_t f = cmap.frameOfBit(bit);
-    if (f < firstFrame || f >= lastFrame) {
-      rep.add("BS002",
-              "image bit " + std::to_string(bit) + " set in frame " +
-                  std::to_string(f) + ", outside the circuit's frame range [" +
-                  std::to_string(firstFrame) + ".." +
-                  std::to_string(lastFrame) + ")",
-              frameLoc(f));
-      break;  // one report per circuit; a corrupt image sets many bits
+    if (bs.frameBits != cmap.frameBits() ||
+        f.payload.size() != cmap.frameBits()) {
+      rep.add("BS003",
+              "frame " + std::to_string(f.id) + " holds " +
+                  std::to_string(f.payload.size()) +
+                  " bit(s), configuration frames hold " +
+                  std::to_string(cmap.frameBits()),
+              frameLoc(f.id));
     }
   }
 

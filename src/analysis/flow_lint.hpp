@@ -34,9 +34,9 @@ void lintPlacement(const MappedNetlist& m, const Placement& p, Report& rep);
 void lintRoutes(const RouteResult& routes, const RoutingGraph& rrg,
                 const Region& region, Report& rep);
 
-/// BS001-BS003 and PT001-PT002: claimed frames and set image bits inside
-/// the device and inside the circuit's own column range; image sized to
-/// the configuration RAM; pad slots in range and (for relocatable
+/// BS001-BS003 and PT001-PT002: the partial bitstream's frames inside the
+/// device and inside the circuit's own column range, each sized as the
+/// configuration map's frames; pad slots in range and (for relocatable
 /// circuits) on pads of the circuit's own columns.
 void lintBitstream(const CompiledCircuit& c, const FabricGeometry& g,
                    const ConfigMap& cmap, Report& rep);

@@ -1,6 +1,6 @@
 // End-to-end circuit compiler: Netlist -> K-LUT mapping -> placement ->
-// routing -> configuration image / bitstreams, targeting a rectangular
-// region of a device.
+// routing -> sealed partial bitstream of the region's frames (the only
+// stored form of a circuit's configuration), targeting a region of a device.
 //
 // Compiled circuits are *relocatable* by default: they use only resources
 // that exist identically in every same-width column strip (north/south
@@ -57,9 +57,9 @@ struct CompiledCircuit {
   Placement placement;
   RouteResult routes;
   std::vector<PortBinding> ports;  ///< inputs then outputs, port order
-  ConfigImage image;               ///< full-device-sized, region bits only
-  std::vector<std::uint32_t> frames;  ///< config frames the circuit touches
-  std::uint32_t frameBits = 0;
+  /// The configuration: every frame of the region's columns, sealed.
+  Bitstream bitstream;
+  std::uint32_t deviceFrames = 0;  ///< frames of the target device
 
   /// Span id of the enclosing `compile` flow span (0 when no tracer was
   /// attached). OS-side download/exec spans link back to it, connecting
@@ -82,7 +82,7 @@ struct CompiledCircuit {
   std::uint32_t padSlotOf(const std::string& portName) const;
 
   /// Bitstream carrying only this circuit's frames.
-  Bitstream partialBitstream() const;
+  const Bitstream& partialBitstream() const { return bitstream; }
   /// Full-device bitstream (this circuit alone on an otherwise blank part).
   Bitstream fullBitstream() const;
 };

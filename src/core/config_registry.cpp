@@ -30,9 +30,7 @@ const Placed& ConfigRegistry::placed(ConfigId id, std::uint16_t x0,
                                      Compiler& compiler) {
   const auto key = std::make_pair(id, x0);
   if (auto it = placed_.find(key); it != placed_.end()) return it->second;
-  Placed p{id, analysis::equiv::relocateProven(compiler, circuit(id), x0), {}};
-  p.partial = p.circuit.partialBitstream();
-  p.circuit.image = ConfigImage();
+  Placed p{id, analysis::equiv::relocateProven(compiler, circuit(id), x0)};
   return placed_.emplace(key, std::move(p)).first->second;
 }
 

@@ -50,7 +50,7 @@ DynamicLoader::SwitchCost DynamicLoader::activate(ConfigId id, Owner owner,
       id == current_
           ? Bitstream{}
           : port_->columnsBitstream(
-                incoming.image, 0,
+                incoming.partialBitstream(), 0,
                 static_cast<std::uint16_t>(dev_->geometry().cols - 1),
                 /*changedOnly=*/true);
   const auto saved = saved_.find(owner);

@@ -212,10 +212,11 @@ const OsMetrics& OsKernel::metrics() const {
 
 ConfigId OsKernel::registerConfig(CompiledCircuit circuit) {
   if (started_) throw std::logic_error("register configs before run()");
-  // The clock period of the real routed design is a function of its image
-  // alone: decode it as the device would and read the timing analyzer.
-  const Elaboration elab =
-      elaborate(dev_->rrg(), dev_->configMap(), circuit.image);
+  // The clock period of the real routed design is a function of its partial
+  // bitstream alone: decode it on a blank image and read the timing analyzer.
+  ConfigImage image(dev_->configMap().totalBits());
+  applyBitstream(image, circuit.partialBitstream());
+  const Elaboration elab = elaborate(dev_->rrg(), dev_->configMap(), image);
   if (!elab.ok()) {
     throw std::logic_error("registered circuit does not decode: " +
                            elab.faults.front());

@@ -43,7 +43,7 @@ SimDuration OverlayManager::installResident(const CompiledCircuit& common) {
           port_->spec().partialReconfig
               ? residentCircuit_->partialBitstream()
               : port_->columnsBitstream(
-                    residentCircuit_->image, 0,
+                    residentCircuit_->partialBitstream(), 0,
                     static_cast<std::uint16_t>(residentWidth_ - 1),
                     /*changedOnly=*/false))
           .time();
@@ -85,15 +85,15 @@ OverlayManager::InvokeResult OverlayManager::invoke(OverlayId id) {
     }
   }
 
-  // Replace whatever occupies the overlay strip: the target image is blank
-  // outside its own region, so writing it over the overlay columns both
+  // Replace whatever occupies the overlay strip: the overlay columns get the
+  // target's frames and blank frames where it has none, so one write both
   // installs the new function and erases the old one. A partial port
   // writes only the frames that differ from the configuration RAM; a
   // serial-full port rewrites the resident part too (as the port's golden
   // image holds it) — the very inefficiency overlaying is meant to avoid.
   const CompiledCircuit& target = overlays_[id];
   const Bitstream bs = port_->columnsBitstream(
-      target.image, residentWidth_,
+      target.partialBitstream(), residentWidth_,
       static_cast<std::uint16_t>(dev_->geometry().cols - 1),
       /*changedOnly=*/true);
   r.cost = installCircuit(*dev_, *port_, target, bs).time();

@@ -31,14 +31,13 @@ const Placed& PrefetchLoader::placedIn(ConfigId id, int half) {
 
 SimDuration PrefetchLoader::loadInto(ConfigId id, int half) {
   const Placed& p = placedIn(id, half);
-  // Blank whatever the half held, then write the circuit: one pass — the
-  // circuit's image is blank outside its own cells, and its frames cover
-  // the whole half it was relocated into only if widths match; write the
-  // half's full column range to be safe.
+  // Blank whatever the half held and write the circuit in one pass over the
+  // half's columns: those the circuit's frames do not cover are written blank.
   const std::uint16_t c0 = static_cast<std::uint16_t>(half == 0 ? 0 : halfWidth_);
   const std::uint16_t c1 = static_cast<std::uint16_t>(c0 + halfWidth_ - 1);
   const Bitstream bs =
-      port_->columnsBitstream(p.image(*dev_), c0, c1, /*changedOnly=*/true);
+      port_->columnsBitstream(p.circuit.partialBitstream(), c0, c1,
+                              /*changedOnly=*/true);
   return installCircuit(*dev_, *port_, p.circuit, bs).time();
 }
 

@@ -102,9 +102,9 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
           r.cost += saveSealed(*dev_, *port_, res.placed->circuit, regs,
                                nullptr);
           res.placed = &segments_.placed(seg, move.toX0, *compiler_);
-          r.cost += installCircuit(*dev_, *port_, res.placed->circuit,
-                                   res.placed->partial, {}, &regs)
-                        .time();
+          const CompiledCircuit& moved = res.placed->circuit;
+          r.cost += installCircuit(*dev_, *port_, moved,
+                                   moved.partialBitstream(), {}, &regs).time();
         }
       }
     }
@@ -112,7 +112,8 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
   }
   const Placed& placed =
       segments_.placed(id, alloc_.strip(*grant).x0, *compiler_);
-  r.cost += installCircuit(*dev_, *port_, placed.circuit, placed.partial)
+  r.cost += installCircuit(*dev_, *port_, placed.circuit,
+                           placed.circuit.partialBitstream())
                 .time();
   residency_[id] = Residency{*grant, clock_, clock_, &placed};
   if (analysis::invariantChecksEnabled()) checkInvariants();

@@ -267,7 +267,10 @@ TEST_F(CompiledDefects, PhantomSwitchFlagsRT003) {
 
 TEST_F(CompiledDefects, FrameOutOfDeviceFlagsBS001) {
   CompiledCircuit c = circuit_;
-  c.frames.push_back(dev_.configMap().frameCount());
+  const ConfigMap& cmap = dev_.configMap();
+  c.bitstream.frames.push_back(Frame{
+      cmap.frameCount(), std::vector<std::uint8_t>(cmap.frameBits(), 0)});
+  c.bitstream.sealCrc();
   EXPECT_TRUE(hasRule(lintIt(c), "BS001"));
 }
 
@@ -278,13 +281,18 @@ TEST_F(CompiledDefects, BitOutsideRegionFlagsBS002) {
   // A set bit in a frame the circuit's columns do not own.
   const std::uint32_t foreignFrame = last < cmap.frameCount() ? last : 0;
   ASSERT_TRUE(foreignFrame < first || foreignFrame >= last);
-  c.image.set(foreignFrame * cmap.frameBits(), true);
+  c.bitstream.frames.push_back(
+      Frame{foreignFrame, std::vector<std::uint8_t>(cmap.frameBits(), 0)});
+  c.bitstream.frames.back().payload[0] = 1;
+  c.bitstream.sealCrc();
   EXPECT_TRUE(hasRule(lintIt(c), "BS002"));
 }
 
-TEST_F(CompiledDefects, TruncatedImageFlagsBS003) {
+TEST_F(CompiledDefects, TruncatedFrameFlagsBS003) {
   CompiledCircuit c = circuit_;
-  c.image = ConfigImage(16);
+  ASSERT_FALSE(c.bitstream.frames.empty());
+  c.bitstream.frames[0].payload.resize(16);
+  c.bitstream.sealCrc();
   EXPECT_TRUE(hasRule(lintIt(c), "BS003"));
 }
 

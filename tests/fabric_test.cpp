@@ -549,11 +549,11 @@ TEST(ConfigPort, NoStateAccessThrows) {
 }
 
 // ---- ConfigPort::columnsBitstream -----------------------------------------
-// Each case fills the RAM and a source image with random bits and checks
-// the result against a per-bit oracle: a bit takes the source's value iff
-// its frame belongs to a column in [c0, c1], and keeps the base image's
-// value otherwise (the RAM on a partial port, the golden image on a
-// serial one).
+// Each case fills the RAM with random bits and draws a random partial
+// source, then checks the result against a per-bit oracle: a bit takes the
+// value of the source's frames applied to a blank image iff its frame
+// belongs to a column in [c0, c1], and keeps the base image's value
+// otherwise (the RAM on a partial port, the golden image on a serial one).
 
 ConfigImage randomImage(std::uint32_t bits, Rng& rng) {
   ConfigImage img(bits);
@@ -566,13 +566,36 @@ void fillRam(Device& dev, Rng& rng) {
   for (std::uint32_t b = 0; b < img.size(); ++b) dev.setConfigBit(b, img.get(b));
 }
 
+/// The frames of `image` named by `ids`, sealed.
+Bitstream framesOf(const ConfigMap& map, const ConfigImage& image,
+                   const std::vector<std::uint32_t>& ids) {
+  return makePartialBitstream(image, map.frameBits(), ids);
+}
+
+/// Random payloads in a random subset of the device's frames.
+Bitstream randomPartial(const ConfigMap& map, Rng& rng) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t f = 0; f < map.frameCount(); ++f) {
+    if (rng.below(2) != 0) ids.push_back(f);
+  }
+  return framesOf(map, randomImage(map.totalBits(), rng), ids);
+}
+
+/// The source's frames applied to a blank image.
+ConfigImage onBlank(const ConfigMap& map, const Bitstream& src) {
+  ConfigImage out(map.totalBits());
+  applyBitstream(out, src);
+  return out;
+}
+
 ConfigImage mergedOracle(const ConfigMap& map, const ConfigImage& base,
-                         const ConfigImage& src, std::uint16_t c0,
+                         const Bitstream& src, std::uint16_t c0,
                          std::uint16_t c1) {
+  const ConfigImage want = onBlank(map, src);
   ConfigImage out = base;
   for (std::uint32_t b = 0; b < out.size(); ++b) {
     const std::uint16_t col = map.columnOfFrame(map.frameOfBit(b));
-    if (col >= c0 && col <= c1) out.set(b, src.get(b));
+    if (col >= c0 && col <= c1) out.set(b, want.get(b));
   }
   return out;
 }
@@ -583,6 +606,12 @@ std::vector<std::uint32_t> frameIds(const Bitstream& bs) {
   return ids;
 }
 
+std::vector<std::uint32_t> rangeIds(std::uint32_t f0, std::uint32_t f1) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t f = f0; f < f1; ++f) ids.push_back(f);
+  return ids;
+}
+
 TEST(ConfigPort, ColumnsBitstreamCarriesEveryFrameOfTheRange) {
   Rng rng(11);
   Device dev(tinyGeom(), DeviceTiming{}, 64);
@@ -590,19 +619,18 @@ TEST(ConfigPort, ColumnsBitstreamCarriesEveryFrameOfTheRange) {
   const ConfigMap& map = dev.configMap();
   for (int trial = 0; trial < 8; ++trial) {
     fillRam(dev, rng);
-    const ConfigImage src = randomImage(map.totalBits(), rng);
+    const Bitstream src = randomPartial(map, rng);
     const auto c0 = static_cast<std::uint16_t>(rng.below(4));
     const auto c1 = static_cast<std::uint16_t>(c0 + rng.below(4u - c0));
     const Bitstream bs = port.columnsBitstream(src, c0, c1, false);
     EXPECT_FALSE(bs.full);
     EXPECT_TRUE(bs.crcOk());
     const auto [f0, f1] = map.framesOfColumns(c0, c1);
-    std::vector<std::uint32_t> want;
-    for (std::uint32_t f = f0; f < f1; ++f) want.push_back(f);
-    EXPECT_EQ(frameIds(bs), want);
+    EXPECT_EQ(frameIds(bs), rangeIds(f0, f1));
     ConfigImage applied = dev.image();
     applyBitstream(applied, bs);
-    EXPECT_EQ(applied, mergedOracle(map, dev.image(), src, c0, c1)) << "trial " << trial;
+    EXPECT_EQ(applied, mergedOracle(map, dev.image(), src, c0, c1))
+        << "trial " << trial;
   }
 }
 
@@ -615,17 +643,16 @@ TEST(ConfigPort, ColumnsBitstreamChangedOnlyKeepsDifferingFrames) {
   for (int trial = 0; trial < 8; ++trial) {
     fillRam(dev, rng);
     port.resyncExpected();  // the golden image holds what the RAM holds
-    // The source differs from the RAM in one bit of a few random frames.
-    ConfigImage src = dev.image();
+    // The source carries every frame of the RAM, one bit flipped in a few
+    // random frames.
+    Bitstream src = framesOf(map, dev.image(), rangeIds(0, frames));
     std::set<std::uint32_t> touched;
     for (int k = 0; k < 4; ++k) {
       const auto f = static_cast<std::uint32_t>(rng.below(frames));
-      const std::uint32_t b =
-          f * map.frameBits() +
-          static_cast<std::uint32_t>(rng.below(map.frameBits()));
-      src.set(b, !src.get(b));
+      src.frames[f].payload[rng.below(map.frameBits())] ^= 1;
       touched.insert(f);
     }
+    src.sealCrc();
     const std::uint16_t c0 = 1;
     const std::uint16_t c1 = 2;
     const auto [f0, f1] = map.framesOfColumns(c0, c1);
@@ -638,7 +665,44 @@ TEST(ConfigPort, ColumnsBitstreamChangedOnlyKeepsDifferingFrames) {
     EXPECT_EQ(frameIds(bs), want) << "trial " << trial;
     ConfigImage applied = dev.image();
     applyBitstream(applied, bs);
-    EXPECT_EQ(applied, mergedOracle(map, dev.image(), src, c0, c1)) << "trial " << trial;
+    EXPECT_EQ(applied, mergedOracle(map, dev.image(), src, c0, c1))
+        << "trial " << trial;
+  }
+}
+
+TEST(ConfigPort, ColumnsBitstreamWritesFramesTheSourceOmitsAsBlank) {
+  // The RAM is not blank in the range, the source carries only some of the
+  // range's frames: every other frame of the range must be written blank,
+  // with or without changedOnly.
+  Rng rng(16);
+  Device dev(tinyGeom(), DeviceTiming{}, 64);
+  ConfigPort port(dev, ConfigPortSpec{});
+  const ConfigMap& map = dev.configMap();
+  for (int trial = 0; trial < 8; ++trial) {
+    fillRam(dev, rng);
+    port.resyncExpected();
+    const auto [f0, f1] = map.framesOfColumns(1, 2);
+    ASSERT_GE(f1 - f0, 2u);
+    const auto kept = static_cast<std::uint32_t>(f0 + rng.below(f1 - f0));
+    const Bitstream src = framesOf(map, dev.image(), {kept});
+    for (const bool changedOnly : {false, true}) {
+      const Bitstream bs = port.columnsBitstream(src, 1, 2, changedOnly);
+      std::vector<std::uint32_t> want;
+      for (std::uint32_t f = f0; f < f1; ++f) {
+        ASSERT_GT(std::ranges::count(imageFrame(dev.image(), 64, f), 1), 0);
+        if (!changedOnly || f != kept) want.push_back(f);
+      }
+      EXPECT_EQ(frameIds(bs), want) << "trial " << trial;
+      for (const Frame& f : bs.frames) {
+        if (f.id != kept) {
+          EXPECT_EQ(std::ranges::count(f.payload, 1), 0);
+        }
+      }
+      ConfigImage applied = dev.image();
+      applyBitstream(applied, bs);
+      EXPECT_EQ(applied, mergedOracle(map, dev.image(), src, 1, 2))
+          << "trial " << trial << " changedOnly " << changedOnly;
+    }
   }
 }
 
@@ -646,38 +710,42 @@ TEST(ConfigPort, ColumnsBitstreamEmptyWhenNothingDiffers) {
   Rng rng(13);
   Device dev(tinyGeom(), DeviceTiming{}, 64);
   ConfigPort port(dev, ConfigPortSpec{});
+  const ConfigMap& map = dev.configMap();
   fillRam(dev, rng);
   port.resyncExpected();
   // Equal to the RAM inside columns [1, 2], random everywhere else.
-  ConfigImage src = randomImage(dev.configMap().totalBits(), rng);
-  const auto [f0, f1] = dev.configMap().framesOfColumns(1, 2);
+  const auto [f0, f1] = map.framesOfColumns(1, 2);
+  ConfigImage image = randomImage(map.totalBits(), rng);
   for (std::uint32_t b = f0 * 64; b < f1 * 64; ++b) {
-    src.set(b, dev.image().get(b));
+    image.set(b, dev.image().get(b));
   }
+  const Bitstream src = framesOf(map, image, rangeIds(0, map.frameCount()));
   EXPECT_TRUE(port.columnsBitstream(src, 1, 2, true).frames.empty());
   EXPECT_EQ(port.columnsBitstream(src, 1, 2, false).frameCount(), f1 - f0);
 }
 
 TEST(ConfigPort, ColumnsBitstreamChangedOnlyKeepsFramesTheGoldenImageLacks) {
   // A truncated download leaves the golden image holding its intent and
-  // the RAM its old frames. Going back to the old image must still write
-  // those frames, though they match the RAM: a skipped one would keep the
-  // stale intent, and scrub() would restore it over the RAM.
+  // the RAM its old frames. Going back to the old (blank) configuration
+  // must still write those frames, though they match the RAM: a skipped one
+  // would keep the stale intent, and scrub() would restore it over the RAM.
   Rng rng(15);
   Device dev(tinyGeom(), DeviceTiming{}, 64);
   ConfigPort port(dev, ConfigPortSpec{});
+  const ConfigMap& map = dev.configMap();
   const ConfigImage old = dev.image();
-  const ConfigImage intent = randomImage(dev.configMap().totalBits(), rng);
+  const Bitstream intent = randomPartial(map, rng);
   port.setTamperHook([](const Bitstream&) { return DownloadTamper{0, {}}; });
   port.download(port.columnsBitstream(intent, 1, 2, false));
   port.setTamperHook({});
   ASSERT_EQ(dev.image(), old);
-  const Bitstream back = port.columnsBitstream(old, 1, 2, true);
-  const auto [f0, f1] = dev.configMap().framesOfColumns(1, 2);
+  const Bitstream back = port.columnsBitstream(Bitstream{}, 1, 2, true);
+  const auto [f0, f1] = map.framesOfColumns(1, 2);
+  const ConfigImage intended = onBlank(map, intent);
   std::vector<std::uint32_t> want;
   for (std::uint32_t f = f0; f < f1; ++f) {
-    if (!std::ranges::equal(old.raw().subspan(f * 64, 64),
-                            intent.raw().subspan(f * 64, 64))) {
+    if (!std::ranges::equal(imageFrame(old, 64, f),
+                            imageFrame(intended, 64, f))) {
       want.push_back(f);
     }
   }
@@ -703,7 +771,7 @@ TEST(ConfigPort, ColumnsBitstreamOnSerialPortIsTheWholeMergedImage) {
     // image in one bit, and only the golden value may reach the stream.
     const auto upset = static_cast<std::uint32_t>(rng.below(map.totalBits()));
     dev.setConfigBit(upset, !dev.image().get(upset));
-    const ConfigImage src = randomImage(map.totalBits(), rng);
+    const Bitstream src = randomPartial(map, rng);
     const auto c0 = static_cast<std::uint16_t>(rng.below(4));
     const auto c1 = static_cast<std::uint16_t>(c0 + rng.below(4u - c0));
     for (const bool changedOnly : {false, true}) {
@@ -719,14 +787,16 @@ TEST(ConfigPort, ColumnsBitstreamOnSerialPortIsTheWholeMergedImage) {
     }
   }
   // Nothing to change still means a whole-device download.
-  EXPECT_EQ(port.columnsBitstream(dev.image(), 0, 0, true).frameCount(),
+  const Bitstream ram = makeFullBitstream(dev.image(), map.frameBits());
+  EXPECT_EQ(port.columnsBitstream(ram, 0, 0, true).frameCount(),
             map.frameCount());
   // An upset outside the range is overwritten with the intended bit, so
   // downloading the result keeps the golden image and repairs the RAM.
   const std::uint32_t bit = map.framesOfColumns(3, 3).first * map.frameBits();
   const bool intended = port.expectedImage().get(bit);
   dev.setConfigBit(bit, !intended);
-  port.download(port.columnsBitstream(dev.image(), 0, 0, false));
+  port.download(port.columnsBitstream(
+      makeFullBitstream(dev.image(), map.frameBits()), 0, 0, false));
   EXPECT_EQ(port.expectedImage().get(bit), intended);
   EXPECT_EQ(dev.image().get(bit), intended);
 }
@@ -734,11 +804,20 @@ TEST(ConfigPort, ColumnsBitstreamOnSerialPortIsTheWholeMergedImage) {
 TEST(ConfigPort, ColumnsBitstreamRejectsMismatchedInput) {
   Device dev(tinyGeom(), DeviceTiming{}, 64);
   ConfigPort port(dev, ConfigPortSpec{});
-  const ConfigImage ok(dev.configMap().totalBits());
-  EXPECT_THROW(port.columnsBitstream(ConfigImage(64), 0, 0, false),
+  const ConfigMap& map = dev.configMap();
+  const ConfigImage blank(map.totalBits());
+  // Frames of the wrong size, a frame beyond the device, a bad range.
+  EXPECT_THROW(port.columnsBitstream(makeFullBitstream(ConfigImage(64), 32),
+                                     0, 0, false),
                std::invalid_argument);
-  EXPECT_THROW(port.columnsBitstream(ok, 2, 1, false), std::invalid_argument);
-  EXPECT_THROW(port.columnsBitstream(ok, 0, 4, false), std::invalid_argument);
+  Bitstream beyond = framesOf(map, blank, {0});
+  beyond.frames[0].id = map.frameCount();
+  EXPECT_THROW(port.columnsBitstream(beyond, 0, 3, false),
+               std::invalid_argument);
+  EXPECT_THROW(port.columnsBitstream(Bitstream{}, 2, 1, false),
+               std::invalid_argument);
+  EXPECT_THROW(port.columnsBitstream(Bitstream{}, 0, 4, false),
+               std::invalid_argument);
 }
 
 TEST(DeviceFamily, ProfilesAreWellFormed) {

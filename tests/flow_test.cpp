@@ -3,6 +3,9 @@
 // reference Evaluator, including after relocation and state save/restore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "compile/compiler.hpp"
 #include "compile/loaded_circuit.hpp"
 #include "fabric/config_port.hpp"
@@ -247,18 +250,24 @@ TEST(Flow, PartialBitstreamTouchesOnlyRegionFrames) {
       compiler.compile(nl, Region::columns(dev.geometry(), 4, 3));
   const ConfigMap& map = dev.configMap();
   auto [f0, f1] = map.framesOfColumns(4, 6);
-  Bitstream bs = c.partialBitstream();
-  for (const Frame& f : bs.frames) {
-    EXPECT_GE(f.id, f0);
-    EXPECT_LT(f.id, f1);
+  // The partial bitstream is every frame of the region, in order, sealed.
+  const Bitstream& bs = c.partialBitstream();
+  EXPECT_FALSE(bs.full);
+  EXPECT_TRUE(bs.crcOk());
+  EXPECT_EQ(bs.frameBits, map.frameBits());
+  ASSERT_EQ(bs.frameCount(), f1 - f0);
+  for (std::uint32_t i = 0; i < bs.frameCount(); ++i) {
+    EXPECT_EQ(bs.frames[i].id, f0 + i);
+    EXPECT_EQ(bs.frames[i].payload.size(), map.frameBits());
   }
-  // And the circuit must not set any bit outside those frames.
-  for (std::uint32_t bit = 0; bit < c.image.size(); ++bit) {
-    if (c.image.get(bit)) {
-      EXPECT_GE(map.frameOfBit(bit), f0);
-      EXPECT_LT(map.frameOfBit(bit), f1);
-    }
-  }
+  // It is the circuit's whole configuration: the full bitstream is it on a
+  // blank device.
+  ConfigImage fromPartial(map.totalBits());
+  applyBitstream(fromPartial, bs);
+  ConfigImage fromFull(map.totalBits());
+  applyBitstream(fromFull, c.fullBitstream());
+  EXPECT_EQ(fromFull, fromPartial);
+  EXPECT_NE(fromPartial, ConfigImage(map.totalBits()));
 }
 
 TEST(Flow, TwoCircuitsCoexistInDisjointStrips) {
@@ -336,11 +345,37 @@ TEST(Flow, RelocationMovesAllConfigBitsIntoTargetFrames) {
   CompiledCircuit moved = compiler.relocate(c, 9);
   const ConfigMap& map = dev.configMap();
   auto [f0, f1] = map.framesOfColumns(9, 11);
-  for (std::uint32_t bit = 0; bit < moved.image.size(); ++bit) {
-    if (moved.image.get(bit)) {
-      EXPECT_GE(map.frameOfBit(bit), f0);
-      EXPECT_LT(map.frameOfBit(bit), f1);
-    }
+  const auto setBits = [](const Bitstream& bs) {
+    std::size_t n = 0;
+    for (const Frame& f : bs.frames) n += std::ranges::count(f.payload, 1);
+    return n;
+  };
+  const Bitstream& bs = moved.partialBitstream();
+  ASSERT_EQ(bs.frameCount(), f1 - f0);
+  for (std::uint32_t i = 0; i < bs.frameCount(); ++i) {
+    EXPECT_EQ(bs.frames[i].id, f0 + i);
+  }
+  EXPECT_TRUE(bs.crcOk());
+  EXPECT_EQ(setBits(bs), setBits(c.partialBitstream()));
+}
+
+TEST(Flow, RelocateRefusesABitOutsideTheRegion) {
+  Device dev = mediumPartialProfile().makeDevice();
+  Compiler compiler(dev);
+  CompiledCircuit c = compiler.compile(lib::makeChecksum(4),
+                                       Region::columns(dev.geometry(), 0, 3));
+  // Bind a port to the north pad of the column right of the region: its
+  // enable bit lies in that column's frames, which the circuit does not own.
+  ASSERT_FALSE(c.ports.empty());
+  c.ports[0].padSlot = static_cast<std::uint32_t>(
+      (c.region.x1() + 1) * dev.geometry().slotsPerPad);
+  try {
+    compiler.relocate(c, 5);
+    ADD_FAILURE() << "a bit outside the region's frames was painted";
+  } catch (const CompileError& e) {
+    EXPECT_NE(std::string(e.what()).find("outside the region's frames"),
+              std::string::npos)
+        << e.what();
   }
 }
 

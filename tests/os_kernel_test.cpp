@@ -998,22 +998,30 @@ TEST(OsKernel, RegistrationRefusesAnImageThatDoesNotDecode) {
       lib::makeCounter(6), Region::columns(b.dev.geometry(), 0, 4));
   const RoutingGraph& rrg = b.dev.rrg();
   const ConfigMap& map = b.dev.configMap();
-  // Enable a second driver into a routing node that already has one.
+  ConfigImage image(map.totalBits());
+  applyBitstream(image, c.partialBitstream());
+  // Enable a second driver into a routing node that already has one, in
+  // the partial bitstream (an edge into a node is in its column's frames).
   bool contended = false;
   for (RRNodeId n = 0; n < rrg.nodeCount() && !contended; ++n) {
     const auto in = rrg.edgesInto(n);
     const auto driven = std::find_if(in.begin(), in.end(), [&](RREdgeId e) {
-      return c.image.get(map.edgeBit(e));
+      return image.get(map.edgeBit(e));
     });
     if (driven == in.end()) continue;
     for (RREdgeId e : in) {
       if (e == *driven) continue;
-      c.image.set(map.edgeBit(e), true);
-      contended = true;
+      const std::uint32_t bit = map.edgeBit(e);
+      for (Frame& f : c.bitstream.frames) {
+        if (f.id != map.frameOfBit(bit)) continue;
+        f.payload[bit % map.frameBits()] = 1;
+        contended = true;
+      }
       break;
     }
   }
   ASSERT_TRUE(contended);
+  c.bitstream.sealCrc();
   try {
     b.kernel.registerConfig(std::move(c));
     ADD_FAILURE() << "a contended image was registered";

@@ -95,9 +95,9 @@ int compileCmd(const Args& a) {
   std::printf("compiled %s for %s:\n", circuit.name.c_str(), p.name.c_str());
   std::printf("  %zu LUT cells (%zu registered), depth %zu\n", c.cellCount(),
               c.ffCount(), c.mapped.depth());
+  const Bitstream& bs = c.partialBitstream();
   std::printf("  strip width %u columns, %zu ports, %zu config frames\n",
-              c.region.w, c.portCount(), c.frames.size());
-  const Bitstream bs = c.partialBitstream();
+              c.region.w, c.portCount(), bs.frameCount());
   std::printf("  partial bitstream %zu bits, download %.3f ms "
               "(full device: %.3f ms)\n",
               bs.bitCount(), toMilliseconds(rig.port.downloadCost(bs)),
