@@ -37,16 +37,17 @@ SimDuration OverlayManager::installResident(const CompiledCircuit& common) {
   residentCircuit_ = analysis::equiv::relocateProven(*compiler_, common, 0);
   // A serial port rewrites the whole device: the overlay columns come from
   // the golden image, so a reinstall keeps the active overlay.
+  Bitstream merged;
+  if (!port_->spec().partialReconfig) {
+    merged = port_->columnsBitstream(
+        residentCircuit_->partialBitstream(), 0,
+        static_cast<std::uint16_t>(residentWidth_ - 1), /*changedOnly=*/false);
+  }
+  const Bitstream& bs = port_->spec().partialReconfig
+                            ? residentCircuit_->partialBitstream()
+                            : merged;
   const SimDuration t =
-      installCircuit(
-          *dev_, *port_, *residentCircuit_,
-          port_->spec().partialReconfig
-              ? residentCircuit_->partialBitstream()
-              : port_->columnsBitstream(
-                    residentCircuit_->partialBitstream(), 0,
-                    static_cast<std::uint16_t>(residentWidth_ - 1),
-                    /*changedOnly=*/false))
-          .time();
+      installCircuit(*dev_, *port_, *residentCircuit_, bs).time();
   if (analysis::invariantChecksEnabled()) checkInvariants();
   return t;
 }
