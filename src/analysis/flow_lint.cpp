@@ -264,13 +264,19 @@ void lintBitstream(const CompiledCircuit& c, const FabricGeometry& g,
                   std::to_string(lastFrame) + ")",
               frameLoc(f.id));
     }
-    if (bs.frameBits != cmap.frameBits() ||
-        f.payload.size() != cmap.frameBits()) {
+    if (bs.frameBits != cmap.frameBits()) {
       rep.add("BS003",
               "frame " + std::to_string(f.id) + " holds " +
-                  std::to_string(f.payload.size()) +
+                  std::to_string(bs.frameBits) +
                   " bit(s), configuration frames hold " +
                   std::to_string(cmap.frameBits()),
+              frameLoc(f.id));
+    } else if (f.payload.size() != payloadBytes(bs.frameBits)) {
+      rep.add("BS003",
+              "frame " + std::to_string(f.id) + " carries " +
+                  std::to_string(f.payload.size()) + " payload byte(s), " +
+                  std::to_string(bs.frameBits) + "-bit frames carry " +
+                  std::to_string(payloadBytes(bs.frameBits)),
               frameLoc(f.id));
     }
   }

@@ -23,9 +23,8 @@ DownloadTamper FaultPlan::tamperDownload(const Bitstream& bs) {
     const std::uint32_t flips = 1 + static_cast<std::uint32_t>(rng_.below(3));
     for (std::uint32_t i = 0; i < flips; ++i) {
       const std::size_t frame = rng_.below(applied);
-      const std::size_t bits = bs.frames[frame].payload.size();
-      if (bits == 0) continue;
-      tamper.flips.emplace_back(frame, rng_.below(bits));
+      if (bs.frameBits == 0) continue;
+      tamper.flips.emplace_back(frame, rng_.below(bs.frameBits));
       ++counters_.flippedBits;
     }
     ++counters_.corruptedDownloads;

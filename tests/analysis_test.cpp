@@ -282,8 +282,9 @@ TEST_F(CompiledDefects, BitOutsideRegionFlagsBS002) {
   const std::uint32_t foreignFrame = last < cmap.frameCount() ? last : 0;
   ASSERT_TRUE(foreignFrame < first || foreignFrame >= last);
   c.bitstream.frames.push_back(
-      Frame{foreignFrame, std::vector<std::uint8_t>(cmap.frameBits(), 0)});
-  c.bitstream.frames.back().payload[0] = 1;
+      Frame{foreignFrame,
+            std::vector<std::uint8_t>(payloadBytes(cmap.frameBits()), 0)});
+  c.bitstream.frames.back().setBit(0, true);
   c.bitstream.sealCrc();
   EXPECT_TRUE(hasRule(lintIt(c), "BS002"));
 }
@@ -291,7 +292,7 @@ TEST_F(CompiledDefects, BitOutsideRegionFlagsBS002) {
 TEST_F(CompiledDefects, TruncatedFrameFlagsBS003) {
   CompiledCircuit c = circuit_;
   ASSERT_FALSE(c.bitstream.frames.empty());
-  c.bitstream.frames[0].payload.resize(16);
+  c.bitstream.frames[0].payload.pop_back();
   c.bitstream.sealCrc();
   EXPECT_TRUE(hasRule(lintIt(c), "BS003"));
 }

@@ -258,7 +258,7 @@ TEST(Flow, PartialBitstreamTouchesOnlyRegionFrames) {
   ASSERT_EQ(bs.frameCount(), f1 - f0);
   for (std::uint32_t i = 0; i < bs.frameCount(); ++i) {
     EXPECT_EQ(bs.frames[i].id, f0 + i);
-    EXPECT_EQ(bs.frames[i].payload.size(), map.frameBits());
+    EXPECT_EQ(bs.frames[i].payload.size(), payloadBytes(map.frameBits()));
   }
   // It is the circuit's whole configuration: the full bitstream is it on a
   // blank device.
@@ -347,7 +347,9 @@ TEST(Flow, RelocationMovesAllConfigBitsIntoTargetFrames) {
   auto [f0, f1] = map.framesOfColumns(9, 11);
   const auto setBits = [](const Bitstream& bs) {
     std::size_t n = 0;
-    for (const Frame& f : bs.frames) n += std::ranges::count(f.payload, 1);
+    for (const Frame& f : bs.frames) {
+      for (std::uint32_t i = 0; i < bs.frameBits; ++i) n += f.bit(i);
+    }
     return n;
   };
   const Bitstream& bs = moved.partialBitstream();

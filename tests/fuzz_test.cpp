@@ -285,8 +285,7 @@ TEST(FaultInjection, CorruptedBitstreamAlwaysCaughtByCrc) {
   for (int trial = 0; trial < 40; ++trial) {
     Bitstream bs = c.fullBitstream();
     Frame& f = bs.frames[rng.below(bs.frames.size())];
-    const std::size_t bit = rng.below(f.payload.size());
-    f.payload[bit] ^= 1;
+    f.flipBit(static_cast<std::uint32_t>(rng.below(bs.frameBits)));
     ASSERT_FALSE(bs.crcOk());
     ASSERT_THROW(dev.applyBitstream(bs), std::runtime_error);
   }

@@ -1014,7 +1014,7 @@ TEST(OsKernel, RegistrationRefusesAnImageThatDoesNotDecode) {
       const std::uint32_t bit = map.edgeBit(e);
       for (Frame& f : c.bitstream.frames) {
         if (f.id != map.frameOfBit(bit)) continue;
-        f.payload[bit % map.frameBits()] = 1;
+        f.setBit(bit % map.frameBits(), true);
         contended = true;
       }
       break;
