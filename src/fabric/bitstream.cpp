@@ -9,23 +9,26 @@
 
 namespace vfpga {
 
-void Bitstream::sealCrc() {
-  std::vector<std::uint8_t> all;
-  all.reserve(bitCount());
-  for (const Frame& f : frames) {
-    all.insert(all.end(), f.payload.begin(), f.payload.end());
+namespace {
+
+/// The frame CRC: CRC-16/CCITT-FALSE over the payload bits of every frame
+/// in order, with no concatenated copy. A payload shorter than frameBits
+/// (a malformed stream) contributes the bits it has.
+std::uint16_t payloadCrc(const Bitstream& bs) {
+  std::uint16_t crc = kCrc16Init;
+  for (const Frame& f : bs.frames) {
+    crc = crc16PackedBits(
+        crc, f.payload,
+        std::min<std::size_t>(bs.frameBits, f.payload.size() * 8));
   }
-  crc = crc16Bits(all);
+  return crc;
 }
 
-bool Bitstream::crcOk() const {
-  std::vector<std::uint8_t> all;
-  all.reserve(bitCount());
-  for (const Frame& f : frames) {
-    all.insert(all.end(), f.payload.begin(), f.payload.end());
-  }
-  return crc == crc16Bits(all);
-}
+}  // namespace
+
+void Bitstream::sealCrc() { crc = payloadCrc(*this); }
+
+bool Bitstream::crcOk() const { return crc == payloadCrc(*this); }
 
 namespace {
 
@@ -41,19 +44,69 @@ std::uint32_t frameBase(const ConfigImage& image, std::uint32_t frameBits,
   return static_cast<std::uint32_t>(base);
 }
 
-Frame extractFrame(const ConfigImage& image, std::uint32_t frameBits,
-                   std::uint32_t id) {
-  Frame f;
-  f.id = id;
-  f.payload.resize(frameBits);
-  const std::uint32_t base = frameBase(image, frameBits, id);
-  for (std::uint32_t i = 0; i < frameBits; ++i) {
-    f.payload[i] = image.get(base + i) ? 1 : 0;
+/// Frames of whole bytes start on byte boundaries: they are copied and
+/// compared by the byte. Other frame sizes go bit by bit.
+bool wholeBytes(std::uint32_t frameBits) { return frameBits % 8 == 0; }
+
+/// Frame `id`'s bytes of an image of byte-aligned frames.
+std::span<const std::uint8_t> frameBytes(const ConfigImage& image,
+                                         std::uint32_t frameBits,
+                                         std::uint32_t id) {
+  return image.raw().subspan(frameBase(image, frameBits, id) / 8,
+                             frameBits / 8);
+}
+
+}  // namespace
+
+Frame readFrame(const ConfigImage& image, std::uint32_t frameBits,
+                std::uint32_t frameId) {
+  Frame f{frameId, std::vector<std::uint8_t>(payloadBytes(frameBits), 0)};
+  if (wholeBytes(frameBits)) {
+    std::ranges::copy(frameBytes(image, frameBits, frameId),
+                      f.payload.begin());
+  } else {
+    const std::uint32_t base = frameBase(image, frameBits, frameId);
+    for (std::uint32_t i = 0; i < frameBits; ++i) {
+      f.setBit(i, image.get(base + i));
+    }
   }
   return f;
 }
 
-}  // namespace
+bool frameHolds(const ConfigImage& image, std::uint32_t frameBits,
+                std::uint32_t frameId, std::span<const std::uint8_t> payload) {
+  const std::uint32_t base = frameBase(image, frameBits, frameId);
+  if (payload.size() != payloadBytes(frameBits)) return false;
+  if (wholeBytes(frameBits)) {
+    return std::ranges::equal(frameBytes(image, frameBits, frameId), payload);
+  }
+  for (std::uint32_t i = 0; i < frameBits; ++i) {
+    if (((payload[i / 8] >> (i % 8)) & 1u) != (image.get(base + i) ? 1u : 0u)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<std::uint32_t> differingFrames(const ConfigImage& a,
+                                           const ConfigImage& b,
+                                           std::uint32_t frameBits) {
+  if (a.size() != b.size()) {
+    throw std::invalid_argument("differingFrames: image sizes differ");
+  }
+  std::vector<std::uint32_t> ids;
+  if (a == b) return ids;
+  const std::uint32_t frames = a.size() / frameBits;
+  for (std::uint32_t id = 0; id < frames; ++id) {
+    const bool same =
+        wholeBytes(frameBits)
+            ? std::ranges::equal(frameBytes(a, frameBits, id),
+                                 frameBytes(b, frameBits, id))
+            : frameHolds(a, frameBits, id, readFrame(b, frameBits, id).payload);
+    if (!same) ids.push_back(id);
+  }
+  return ids;
+}
 
 Bitstream makeFullBitstream(const ConfigImage& image,
                             std::uint32_t frameBits) {
@@ -64,7 +117,7 @@ Bitstream makeFullBitstream(const ConfigImage& image,
   const std::uint32_t n = image.size() / frameBits;
   bs.frames.reserve(n);
   for (std::uint32_t id = 0; id < n; ++id) {
-    bs.frames.push_back(extractFrame(image, frameBits, id));
+    bs.frames.push_back(readFrame(image, frameBits, id));
   }
   bs.sealCrc();
   return bs;
@@ -78,16 +131,44 @@ Bitstream makePartialBitstream(const ConfigImage& image,
   bs.full = false;
   bs.frames.reserve(frameIds.size());
   for (std::uint32_t id : frameIds) {
-    bs.frames.push_back(extractFrame(image, frameBits, id));
+    bs.frames.push_back(readFrame(image, frameBits, id));
   }
   bs.sealCrc();
   return bs;
+}
+
+void applyBitstream(ConfigImage& image, const Bitstream& bs) {
+  // All or nothing: every frame is checked before the first is written.
+  const std::size_t bytes = payloadBytes(bs.frameBits);
+  for (const Frame& f : bs.frames) {
+    frameBase(image, bs.frameBits, f.id);
+    if (f.payload.size() != bytes) {
+      throw std::invalid_argument("frame payload does not match frameBits");
+    }
+  }
+  for (const Frame& f : bs.frames) {
+    const std::uint32_t base = frameBase(image, bs.frameBits, f.id);
+    if (wholeBytes(bs.frameBits)) {
+      std::ranges::copy(f.payload, image.bytes_.begin() + base / 8);
+    } else {
+      for (std::uint32_t i = 0; i < bs.frameBits; ++i) {
+        image.set(base + i, f.bit(i));
+      }
+    }
+  }
 }
 
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'V', 'F', 'P', 'B'};
 constexpr std::uint16_t kFormatVersion = 1;
+
+/// The bits of a payload's last byte that lie inside a frame.
+std::uint8_t lastByteMask(std::uint32_t frameBits) {
+  return frameBits % 8 == 0
+             ? std::uint8_t{0xFF}
+             : static_cast<std::uint8_t>((1u << (frameBits % 8)) - 1);
+}
 
 }  // namespace
 
@@ -98,19 +179,14 @@ std::vector<std::uint8_t> serializeBitstream(const Bitstream& bs) {
   putU32(out, bs.frameBits);
   out.push_back(bs.full ? 1 : 0);
   putU32(out, static_cast<std::uint32_t>(bs.frames.size()));
-  const std::size_t payloadBytes = (bs.frameBits + 7) / 8;
+  const std::size_t bytes = payloadBytes(bs.frameBits);
   for (const Frame& f : bs.frames) {
     putU32(out, f.id);
-    for (std::size_t byte = 0; byte < payloadBytes; ++byte) {
-      std::uint8_t packed = 0;
-      for (std::size_t bit = 0; bit < 8; ++bit) {
-        const std::size_t idx = byte * 8 + bit;
-        if (idx < f.payload.size() && f.payload[idx]) {
-          packed |= static_cast<std::uint8_t>(1u << bit);
-        }
-      }
-      out.push_back(packed);
-    }
+    const std::size_t at = out.size();
+    out.resize(at + bytes, 0);
+    std::copy_n(f.payload.begin(), std::min(bytes, f.payload.size()),
+                out.begin() + static_cast<std::ptrdiff_t>(at));
+    if (bytes > 0) out.back() &= lastByteMask(bs.frameBits);
   }
   putU16(out, bs.crc);
   return out;
@@ -139,21 +215,19 @@ Bitstream deserializeBitstream(std::span<const std::uint8_t> bytes) {
   }
   bs.full = in.u8() != 0;
   const std::uint32_t frames = in.u32();
-  const std::size_t payloadBytes = (bs.frameBits + 7) / 8;
+  const std::size_t payload = payloadBytes(bs.frameBits);
   // Every frame carries its id and payload: a count the remaining bytes
   // cannot hold is a truncated (or forged) file, not a reason to allocate.
-  if (!in.fits(frames, 4 + payloadBytes)) {
+  if (!in.fits(frames, 4 + payload)) {
     throw std::runtime_error("truncated bitstream file");
   }
   bs.frames.reserve(frames);
   for (std::uint32_t f = 0; f < frames; ++f) {
     Frame frame;
     frame.id = in.u32();
-    frame.payload.resize(bs.frameBits);
-    const auto raw = in.bytes(payloadBytes);
-    for (std::uint32_t bit = 0; bit < bs.frameBits; ++bit) {
-      frame.payload[bit] = (raw[bit / 8] >> (bit % 8)) & 1;
-    }
+    const auto raw = in.bytes(payload);
+    frame.payload.assign(raw.begin(), raw.end());
+    frame.payload.back() &= lastByteMask(bs.frameBits);
     bs.frames.push_back(std::move(frame));
   }
   bs.crc = in.u16();
@@ -161,23 +235,6 @@ Bitstream deserializeBitstream(std::span<const std::uint8_t> bytes) {
   if (!in.atEnd()) throw std::runtime_error("trailing bytes in bitstream");
   if (!bs.crcOk()) throw std::runtime_error("bitstream CRC mismatch");
   return bs;
-}
-
-std::span<const std::uint8_t> imageFrame(const ConfigImage& image,
-                                         std::uint32_t frameBits,
-                                         std::uint32_t frameId) {
-  return image.raw().subspan(frameBase(image, frameBits, frameId), frameBits);
-}
-
-void applyBitstream(ConfigImage& image, const Bitstream& bs) {
-  // All or nothing: every frame is checked before the first is written.
-  for (const Frame& f : bs.frames) frameBase(image, bs.frameBits, f.id);
-  for (const Frame& f : bs.frames) {
-    const std::uint32_t base = frameBase(image, bs.frameBits, f.id);
-    for (std::uint32_t i = 0; i < bs.frameBits; ++i) {
-      image.set(base + i, f.payload[i] != 0);
-    }
-  }
 }
 
 }  // namespace vfpga

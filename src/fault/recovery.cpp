@@ -27,10 +27,11 @@ DownloadOutcome downloadWithRetry(ConfigPort& port, const Bitstream& bs,
 }
 
 std::uint16_t stateCrc(const std::vector<bool>& bits) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(bits.size());
-  for (bool b : bits) bytes.push_back(b ? 1 : 0);
-  return crc16Bits(bytes);
+  std::vector<std::uint8_t> packed((bits.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) packed[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  }
+  return crc16PackedBits(kCrc16Init, packed, bits.size());
 }
 
 }  // namespace vfpga::fault
