@@ -7,10 +7,17 @@
 // register writes land while its elaboration is stale. After every step
 // the dense FF state, every loaded circuit's saved state and every pad
 // output must agree. One seed also serves B through the compiled engine.
+//
+// A second differential holds the configuration RAM and the port's golden
+// image as one byte per bit beside a device: random bitstreams, changed-only
+// column writes, tampered downloads, upsets and scrub repairs go to both,
+// and the packed images must read back the reference bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "compile/compiler.hpp"
@@ -184,6 +191,177 @@ void runDifferential(std::uint64_t seed, int steps, bool compiled,
   if (fast != nullptr) {
     EXPECT_GT(fast->stats().compiledEvaluates, 0u);
     EXPECT_GT(fast->stats().compiledTicks, 0u);
+  }
+}
+
+/// The configuration RAM and the golden image, one byte per bit.
+struct ByteImages {
+  std::vector<std::uint8_t> ram;
+  std::vector<std::uint8_t> golden;
+
+  /// Frame `id` of an image as one byte per bit.
+  static std::vector<std::uint8_t> frame(const std::vector<std::uint8_t>& img,
+                                         std::uint32_t frameBits,
+                                         std::uint32_t id) {
+    const auto at = img.begin() + std::ptrdiff_t{id} * frameBits;
+    return {at, at + frameBits};
+  }
+  static void write(std::vector<std::uint8_t>& img, std::uint32_t frameBits,
+                    std::uint32_t id, const std::vector<std::uint8_t>& bits) {
+    std::copy(bits.begin(), bits.end(),
+              img.begin() + std::ptrdiff_t{id} * frameBits);
+  }
+};
+
+/// One byte per bit of a frame's payload.
+std::vector<std::uint8_t> unpacked(const Frame& f, std::uint32_t frameBits) {
+  std::vector<std::uint8_t> bits(frameBits);
+  for (std::uint32_t i = 0; i < frameBits; ++i) bits[i] = f.bit(i) ? 1 : 0;
+  return bits;
+}
+
+/// A sealed stream of random payloads: every frame of the device, or a
+/// random subset of them.
+Bitstream randomStream(Rng& rng, const ConfigMap& map, bool full) {
+  Bitstream bs;
+  bs.frameBits = map.frameBits();
+  bs.full = full;
+  for (std::uint32_t id = 0; id < map.frameCount(); ++id) {
+    if (!full && !rng.bernoulli(0.1)) continue;
+    Frame f{id, std::vector<std::uint8_t>(payloadBytes(bs.frameBits), 0)};
+    for (std::uint32_t i = 0; i < bs.frameBits; ++i) {
+      f.setBit(i, rng.bernoulli(0.3));
+    }
+    bs.frames.push_back(std::move(f));
+  }
+  bs.sealCrc();
+  return bs;
+}
+
+void runByteReference(const DeviceProfile& prof, std::uint64_t seed,
+                      int steps) {
+  Side s(prof);
+  const ConfigMap& map = s.dev.configMap();
+  const std::uint32_t fb = map.frameBits();
+  const bool partial = prof.port.partialReconfig;
+  ByteImages ref{std::vector<std::uint8_t>(map.totalBits(), 0),
+                 std::vector<std::uint8_t>(map.totalBits(), 0)};
+  Rng rng(seed);
+  std::size_t repaired = 0;
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE(::testing::Message()
+                 << prof.name << " seed " << seed << " step " << step);
+    switch (rng.below(6)) {
+      case 0: {  // a random full or partial bitstream
+        const Bitstream bs =
+            randomStream(rng, map, !partial || rng.bernoulli(0.2));
+        s.port.download(bs);
+        for (const Frame& f : bs.frames) {
+          ByteImages::write(ref.ram, fb, f.id, unpacked(f, fb));
+          ByteImages::write(ref.golden, fb, f.id, unpacked(f, fb));
+        }
+        break;
+      }
+      case 1: {  // a changed-only write of a column range
+        const int cols = s.dev.geometry().cols;
+        const auto c0 = static_cast<std::uint16_t>(rng.below(cols));
+        const auto c1 = static_cast<std::uint16_t>(c0 + rng.below(cols - c0));
+        // Random frames, or the RAM's own frames with a few bits flipped,
+        // so that most frames are unchanged.
+        Bitstream src = randomStream(rng, map, false);
+        if (rng.bernoulli(0.5)) {
+          src = makeFullBitstream(s.dev.image(), fb);
+          for (int k = 0; k < 3; ++k) {
+            src.frames[rng.below(src.frameCount())].flipBit(
+                static_cast<std::uint32_t>(rng.below(fb)));
+          }
+          src.sealCrc();
+        }
+        const Bitstream bs = s.port.columnsBitstream(src, c0, c1, true);
+        const auto [f0, f1] = map.framesOfColumns(c0, c1);
+        std::vector<std::vector<std::uint8_t>> want(
+            f1 - f0, std::vector<std::uint8_t>(fb, 0));
+        for (const Frame& f : src.frames) {
+          if (f.id >= f0 && f.id < f1) want[f.id - f0] = unpacked(f, fb);
+        }
+        std::size_t changed = 0;
+        for (std::uint32_t id = f0; id < f1; ++id) {
+          changed += want[id - f0] != ByteImages::frame(ref.ram, fb, id) ||
+                     want[id - f0] != ByteImages::frame(ref.golden, fb, id);
+        }
+        EXPECT_EQ(bs.frameCount(), partial ? changed : map.frameCount());
+        s.port.download(bs);
+        for (std::uint32_t id = f0; id < f1; ++id) {
+          ByteImages::write(ref.golden, fb, id, want[id - f0]);
+          if (partial) ByteImages::write(ref.ram, fb, id, want[id - f0]);
+        }
+        // A serial port rewrites every frame from the golden image.
+        if (!partial) ref.ram = ref.golden;
+        break;
+      }
+      case 2: {  // a download the wire truncates and flips bits of
+        const Bitstream bs = randomStream(rng, map, !partial);
+        if (bs.frames.empty()) break;
+        DownloadTamper t;
+        t.framesApplied = rng.below(bs.frameCount() + 1);
+        for (int k = 0; k < 3; ++k) {
+          t.flips.emplace_back(rng.below(bs.frameCount()),
+                               static_cast<std::uint32_t>(rng.below(fb)));
+        }
+        s.port.setTamperHook([&t](const Bitstream&) { return t; });
+        s.port.download(bs);
+        s.port.setTamperHook({});
+        std::vector<std::vector<std::uint8_t>> wire;
+        for (const Frame& f : bs.frames) {
+          ByteImages::write(ref.golden, fb, f.id, unpacked(f, fb));
+          wire.push_back(unpacked(f, fb));
+        }
+        for (const auto& [frame, bit] : t.flips) wire[frame][bit] ^= 1;
+        for (std::size_t k = 0; k < t.framesApplied; ++k) {
+          ByteImages::write(ref.ram, fb, bs.frames[k].id, wire[k]);
+        }
+        break;
+      }
+      case 3: {  // a configuration upset
+        const auto bit = static_cast<std::uint32_t>(rng.below(map.totalBits()));
+        s.dev.setConfigBit(bit, !s.dev.image().get(bit));
+        ref.ram[bit] ^= 1;
+        break;
+      }
+      case 4: {  // readback scrub repairs toward the golden image
+        std::uint32_t dirty = 0;
+        for (std::uint32_t id = 0; id < map.frameCount(); ++id) {
+          const auto want = ByteImages::frame(ref.golden, fb, id);
+          if (ByteImages::frame(ref.ram, fb, id) == want) continue;
+          ByteImages::write(ref.ram, fb, id, want);
+          ++dirty;
+        }
+        EXPECT_EQ(s.port.scrub().repairedFrames, dirty);
+        repaired += dirty;
+        break;
+      }
+      default:  // blank the device
+        s.dev.clearConfig();
+        s.port.resyncExpected();
+        ref.ram.assign(ref.ram.size(), 0);
+        ref.golden = ref.ram;
+        break;
+    }
+    for (std::uint32_t b = 0; b < map.totalBits(); ++b) {
+      ASSERT_EQ(s.dev.image().get(b), ref.ram[b] != 0) << "RAM bit " << b;
+      ASSERT_EQ(s.port.expectedImage().get(b), ref.golden[b] != 0)
+          << "golden bit " << b;
+    }
+  }
+  EXPECT_GT(repaired, 0u);
+  EXPECT_THROW((void)s.dev.image().get(map.totalBits()), std::out_of_range);
+}
+
+TEST(FfStoreDifferential, PackedImagesMatchBytePerBitReference) {
+  for (const DeviceProfile& prof :
+       {tinyProfile(), mediumPartialProfile(), mediumSerialProfile()}) {
+    runByteReference(prof, 7, 150);
+    if (HasFatalFailure()) return;
   }
 }
 
