@@ -19,17 +19,6 @@ inline bool rngBit(Rng& rng) { return (rng.next() >> 63) != 0; }
 
 }  // namespace
 
-const char* proofMethodName(ProofMethod m) {
-  switch (m) {
-    case ProofMethod::kExhaustive: return "exhaustive";
-    case ProofMethod::kStructural: return "structural";
-    case ProofMethod::kBdd: return "bdd";
-    case ProofMethod::kRandomSim: return "random-sim";
-    case ProofMethod::kSequentialSim: return "sequential-sim";
-  }
-  return "unknown";
-}
-
 std::string Counterexample::render() const {
   std::ostringstream os;
   os << (sequential ? "sequential" : "combinational") << " counterexample at "

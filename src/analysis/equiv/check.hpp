@@ -67,7 +67,6 @@ enum class ProofMethod : std::uint8_t {
   kRandomSim,      ///< random cut assignments only (not a proof)
   kSequentialSim,  ///< whole-netlist lockstep simulation (not a proof)
 };
-const char* proofMethodName(ProofMethod m);
 
 struct Counterexample {
   /// Endpoint name: an output port name or "ff#<pair>".

@@ -7,14 +7,6 @@
 
 namespace vfpga {
 
-const char* replacementPolicyName(ReplacementPolicy p) {
-  switch (p) {
-    case ReplacementPolicy::kFifo: return "fifo";
-    case ReplacementPolicy::kLru: return "lru";
-  }
-  return "unknown";
-}
-
 SegmentManager::SegmentManager(Device& device, ConfigPort& port,
                                Compiler& compiler, ReplacementPolicy policy)
     : dev_(&device), port_(&port), compiler_(&compiler), policy_(policy),

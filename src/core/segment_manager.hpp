@@ -28,8 +28,6 @@ using SegmentId = ConfigId;
 
 enum class ReplacementPolicy : std::uint8_t { kFifo, kLru };
 
-const char* replacementPolicyName(ReplacementPolicy p);
-
 class SegmentManager {
  public:
   /// Throws std::invalid_argument on a serial-full-only port.

@@ -24,12 +24,4 @@ std::uint64_t totalFpgaCycles(const TaskSpec& spec) {
   return n;
 }
 
-SimDuration totalCpuTime(const TaskSpec& spec) {
-  SimDuration t = 0;
-  for (const TaskOp& op : spec.ops) {
-    if (const auto* cb = std::get_if<CpuBurst>(&op)) t += cb->duration;
-  }
-  return t;
-}
-
 }  // namespace vfpga

@@ -112,7 +112,5 @@ struct TaskRuntime {
 
 /// Total FPGA cycles a spec requests across all its ops.
 std::uint64_t totalFpgaCycles(const TaskSpec& spec);
-/// Total declared CPU time across all its ops.
-SimDuration totalCpuTime(const TaskSpec& spec);
 
 }  // namespace vfpga

@@ -144,15 +144,6 @@ std::vector<TimingPath> tracePaths(Device& device, const Elaboration& e,
 
 }  // namespace
 
-const char* timingStatusName(TimingStatus s) {
-  switch (s) {
-    case TimingStatus::kOk: return "ok";
-    case TimingStatus::kNoLogic: return "no_logic";
-    case TimingStatus::kConfigFaulted: return "config_faulted";
-  }
-  return "?";
-}
-
 TimingAnalysis analyzeTiming(Device& device, std::size_t topN) {
   TimingAnalysis r;
   const Elaboration& e = device.elaboration();

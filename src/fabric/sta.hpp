@@ -26,8 +26,6 @@ enum class TimingStatus {
   kConfigFaulted  ///< elaboration reported faults; timing is meaningless
 };
 
-const char* timingStatusName(TimingStatus s);
-
 /// Full analysis result: paths plus the status that says whether the empty
 /// case means "nothing configured" or "configuration is broken".
 struct TimingAnalysis {

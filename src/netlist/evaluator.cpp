@@ -69,25 +69,12 @@ void Evaluator::tick() {
   }
 }
 
-std::vector<bool> Evaluator::evalStep(const std::vector<bool>& inputValues) {
-  setInputs(inputValues);
-  eval();
-  return outputs();
-}
-
 bool Evaluator::output(std::string_view name) const {
   const GateId id = nl_->findOutput(name);
   if (id == kNoGate) {
     throw std::out_of_range("no such output: " + std::string(name));
   }
   return values_.at(id) != 0;
-}
-
-std::vector<bool> Evaluator::outputs() const {
-  std::vector<bool> out;
-  out.reserve(nl_->outputs().size());
-  for (GateId id : nl_->outputs()) out.push_back(values_[id] != 0);
-  return out;
 }
 
 std::vector<bool> Evaluator::state() const {

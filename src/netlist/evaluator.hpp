@@ -31,12 +31,8 @@ class Evaluator {
   /// Clock edge: every DFF latches its D value (eval() must be current).
   void tick();
 
-  /// Convenience: setInputs + eval + read all outputs in declaration order.
-  std::vector<bool> evalStep(const std::vector<bool>& inputValues);
-
   bool value(GateId id) const { return values_.at(id); }
   bool output(std::string_view name) const;
-  std::vector<bool> outputs() const;
 
   /// FF state access in dff-declaration order (used by the scan-chain and
   /// state save/restore tests).

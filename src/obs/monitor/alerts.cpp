@@ -204,20 +204,6 @@ void AlertEngine::evaluate(std::uint64_t atNs, const TimeSeriesStore& store) {
   }
 }
 
-std::size_t AlertEngine::firingCount() const {
-  return static_cast<std::size_t>(
-      std::count_if(rules_.begin(), rules_.end(), [](const RuleStatus& rs) {
-        return rs.state == AlertState::kFiring;
-      }));
-}
-
-std::size_t AlertEngine::firingCount(AlertSeverity s) const {
-  return static_cast<std::size_t>(
-      std::count_if(rules_.begin(), rules_.end(), [&](const RuleStatus& rs) {
-        return rs.state == AlertState::kFiring && rs.rule.severity == s;
-      }));
-}
-
 int AlertEngine::worstFiringGrade() const {
   int grade = 0;
   for (const RuleStatus& rs : rules_) {

@@ -127,8 +127,6 @@ class AlertEngine {
     return transitions_;
   }
 
-  std::size_t firingCount() const;
-  std::size_t firingCount(AlertSeverity s) const;
   /// Worst severity among currently-firing rules as an exit grade:
   /// 0 nothing firing, 1 worst is warning, 2 worst is critical.
   int worstFiringGrade() const;

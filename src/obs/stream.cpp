@@ -166,11 +166,6 @@ void StreamExporter::writeLineLocked(const std::string& line) {
   bytesThisFile_ += line.size() + 1;
 }
 
-void StreamExporter::flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  flushLocked();
-}
-
 std::string StreamExporter::summaryLine() const {
   std::string line = "{\"kind\":\"stream_summary\",\"emitted\":" +
                      std::to_string(emitted_) +

@@ -79,9 +79,8 @@ class StreamExporter {
   void onTrace(std::uint64_t atNs, std::string_view traceKind,
                std::string_view detail, const std::string& domain);
 
-  /// Writes buffered records out.
-  void flush();
-  /// Flush + append the stream_summary record and close the file.
+  /// Writes buffered records out, appends the stream_summary record and
+  /// closes the file.
   /// Idempotent; the destructor calls it.
   void finish();
 

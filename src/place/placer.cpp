@@ -21,7 +21,7 @@ CellSite portAnchor(const Region& r, std::size_t portIndex, bool isInput,
   return {std::min<std::uint16_t>(x, r.x1()), y};
 }
 
-/// Incremental-cost engine shared by place() and placementCost().
+/// Incremental-cost engine of place().
 class CostModel {
  public:
   CostModel(const MappedNetlist& m, const Region& region)
@@ -87,10 +87,6 @@ class CostModel {
 };
 
 }  // namespace
-
-double placementCost(const MappedNetlist& m, const Placement& p) {
-  return CostModel(m, p.region).totalCost(p.sites);
-}
 
 Placement place(const MappedNetlist& m, const Region& region, Rng& rng,
                 const PlaceOptions& options) {

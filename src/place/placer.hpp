@@ -38,7 +38,4 @@ struct PlaceOptions {
 Placement place(const MappedNetlist& m, const Region& region, Rng& rng,
                 const PlaceOptions& options = {});
 
-/// HPWL cost of a placement (exposed for tests and the ablation bench).
-double placementCost(const MappedNetlist& m, const Placement& p);
-
 }  // namespace vfpga

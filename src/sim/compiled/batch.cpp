@@ -45,10 +45,6 @@ std::uint64_t BatchEvaluator::padOutput(std::uint32_t slot) const {
   return padOut_.at(slot);
 }
 
-void BatchEvaluator::setFfWord(std::uint32_t ffIndex, std::uint64_t lanes) {
-  ffState_.at(ffIndex) = lanes;
-}
-
 std::uint64_t BatchEvaluator::ffWord(std::uint32_t ffIndex) const {
   return ffState_.at(ffIndex);
 }

@@ -36,7 +36,6 @@ class BatchEvaluator {
   /// Reads an output pad slot across all lanes (after evaluate()).
   std::uint64_t padOutput(std::uint32_t slot) const;
 
-  void setFfWord(std::uint32_t ffIndex, std::uint64_t lanes);
   std::uint64_t ffWord(std::uint32_t ffIndex) const;
   void resetFfs();
 

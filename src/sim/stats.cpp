@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace vfpga {
 
@@ -87,19 +86,6 @@ double Histogram::quantile(double q) const {
     }
   }
   return hi_;
-}
-
-std::string Histogram::render(std::size_t barWidth) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(counts_[i] * barWidth / peak);
-    os << "[" << bucketLow(i) << ", " << bucketHigh(i) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace vfpga

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace vfpga {
@@ -66,9 +65,6 @@ class Histogram {
   /// Convenience over quantile() for exporters (p50/p90/p99); shares the
   /// edge semantics documented on quantile().
   double percentile(double p) const { return quantile(p / 100.0); }
-
-  /// Renders a compact one-line-per-bucket ASCII view for reports.
-  std::string render(std::size_t barWidth = 40) const;
 
  private:
   double lo_;
