@@ -6,6 +6,7 @@
 #include "analysis/equiv/verify.hpp"
 #include "compile/compiler.hpp"
 #include "compile/loaded_circuit.hpp"
+#include "fabric/config_port.hpp"
 #include "fabric/device_family.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/evaluator.hpp"
@@ -161,6 +162,27 @@ void BM_PartialDownloadWithState(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PartialDownloadWithState);
+
+// One readback scrub pass of the port over a configured device. With no
+// upset (Arg 0) it compares every frame with the golden image; with one
+// LUT-bit upset per pass (Arg 1) it also finds and rewrites that frame.
+void BM_Scrub(benchmark::State& state) {
+  DeviceProfile prof = mediumPartialProfile();
+  Device dev = prof.makeDevice();
+  ConfigPort port(dev, prof.port);
+  Compiler compiler(dev);
+  const CompiledCircuit c =
+      compiler.compile(lib::makeParallelCrc(16, 0x1021, 8),
+                       Region::columns(dev.geometry(), 0, 8));
+  port.download(c.partialBitstream());
+  const bool upset = state.range(0) != 0;
+  const std::uint32_t bit = dev.configMap().clbLutBit(3, 3, 0);
+  for (auto _ : state) {
+    if (upset) dev.setConfigBit(bit, !dev.image().get(bit));
+    benchmark::DoNotOptimize(port.scrub());
+  }
+}
+BENCHMARK(BM_Scrub)->Arg(0)->Arg(1);
 
 void BM_DeviceEvaluateTick(benchmark::State& state) {
   DeviceProfile prof = mediumPartialProfile();

@@ -130,10 +130,10 @@ TEST(CheckpointFormat, EncodeDecodeRoundTrip) {
   EXPECT_EQ(r.checkpoint.ioBindings, ck.ioBindings);
 }
 
-/// Regression: the payload CRC must be byte-wise. The fabric's frame CRC
-/// consumes 0/1 bit streams and reduces each byte to nonzero-vs-zero —
-/// sealing the payload with it let any flip that kept a byte nonzero
-/// (e.g. 'x' -> '8' inside a circuit name) pass validation.
+/// Regression: the payload CRC must see every bit of every byte. An
+/// earlier frame CRC consumed one byte per bit and reduced each byte to
+/// nonzero-vs-zero; sealing the payload with it let any flip that kept a
+/// byte nonzero (e.g. 'x' -> '8' inside a circuit name) pass validation.
 TEST(CheckpointFormat, SingleBitRotInNonzeroByteIsRejected) {
   auto bytes = fault::encodeCheckpoint(sampleCheckpoint(), 1);
   // Flip bit 6 of every payload byte in turn; each variant must fail.
