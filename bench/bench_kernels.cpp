@@ -137,6 +137,40 @@ void BM_DeviceElaboration(benchmark::State& state) {
 }
 BENCHMARK(BM_DeviceElaboration);
 
+/// The partial bitstream of a 16-bit parallel CRC in 8 columns of
+/// medium_partial (148 frames of 128 bits).
+Bitstream mediumPartial(Device& dev) {
+  Compiler compiler(dev);
+  return compiler
+      .compile(lib::makeParallelCrc(16, 0x1021, 8),
+               Region::columns(dev.geometry(), 0, 8))
+      .partialBitstream();
+}
+
+// The device's stream check on every download: the frame CRC of a partial.
+void BM_FrameCrc(benchmark::State& state) {
+  Device dev = mediumPartialProfile().makeDevice();
+  const Bitstream bs = mediumPartial(dev);
+  for (auto _ : state) benchmark::DoNotOptimize(bs.crcOk());
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() * bs.frameCount() * bs.frameBits / 8));
+}
+BENCHMARK(BM_FrameCrc);
+
+// OsKernel::registerConfig's decode of a circuit: its partial on a blank
+// image, the elaboration and the critical path.
+void BM_RegisterDecode(benchmark::State& state) {
+  Device dev = mediumPartialProfile().makeDevice();
+  const Bitstream bs = mediumPartial(dev);
+  for (auto _ : state) {
+    ConfigImage image(dev.configMap().totalBits());
+    applyBitstream(image, bs);
+    const Elaboration elab = elaborate(dev.rrg(), dev.configMap(), image);
+    benchmark::DoNotOptimize(criticalPathDelay(elab, dev.timing()));
+  }
+}
+BENCHMARK(BM_RegisterDecode);
+
 // The OS's register path after a download: a partial bitstream of a
 // relocated circuit into the strip next to a resident one, then the
 // loader's initial-state write and a state save. Register access by CLB

@@ -21,10 +21,21 @@ ConfigMap::ConfigMap(const RoutingGraph& rrg, std::uint32_t frameBits)
   for (std::size_t pad = 0; pad < g.padCount(); ++pad) {
     padsOfCol[padColumn(g, pad)].push_back(pad);
   }
-  std::vector<std::vector<RREdgeId>> edgesOfCol(g.cols);
+  // Edges by a counting sort on their owner column, ids ascending within
+  // a column: runStart_[c] is where column c's run begins in runEdges_.
+  runStart_.assign(g.cols + 1u, 0);
+  std::vector<std::uint16_t> owner(rrg.edgeCount());
   for (RREdgeId e = 0; e < rrg.edgeCount(); ++e) {
-    edgesOfCol[rrg.ownerColumn(rrg.edge(e).to)].push_back(e);
+    owner[e] = rrg.ownerColumn(rrg.edge(e).to);
+    ++runStart_[owner[e] + 1u];
   }
+  for (std::uint16_t c = 0; c < g.cols; ++c) runStart_[c + 1u] += runStart_[c];
+  runEdges_.resize(rrg.edgeCount());
+  std::vector<std::uint32_t> fill(runStart_.begin(), runStart_.end() - 1);
+  for (RREdgeId e = 0; e < rrg.edgeCount(); ++e) {
+    runEdges_[fill[owner[e]]++] = e;
+  }
+  runBit_.assign(g.cols, 0);
 
   std::uint32_t bit = 0;
   for (std::uint16_t c = 0; c < g.cols; ++c) {
@@ -40,8 +51,9 @@ ConfigMap::ConfigMap(const RoutingGraph& rrg, std::uint32_t frameBits)
         bit += 2;
       }
     }
-    for (RREdgeId e : edgesOfCol[c]) {
-      edgeBit_[e] = bit++;
+    runBit_[c] = bit;
+    for (std::uint32_t k = runStart_[c]; k < runStart_[c + 1u]; ++k) {
+      edgeBit_[runEdges_[k]] = bit++;
     }
     usedBits_ += bit - colStart;
     // Pad the column out to a frame boundary.
@@ -67,6 +79,13 @@ std::uint32_t ConfigMap::clbEnableBit(int x, int y) const {
 
 std::uint32_t ConfigMap::padSlotBitBase(std::size_t slotIndex) const {
   return padSlotBase_.at(slotIndex);
+}
+
+ConfigMap::EdgeRun ConfigMap::edgeRun(std::uint16_t col) const {
+  assert(col < geom_.cols);
+  const std::span<const RREdgeId> all(runEdges_);
+  return {runBit_[col],
+          all.subspan(runStart_[col], runStart_[col + 1u] - runStart_[col])};
 }
 
 std::uint16_t ConfigMap::columnOfFrame(std::uint32_t frame) const {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,14 @@ class ConfigMap {
   /// The config bit controlling a switch edge.
   std::uint32_t edgeBit(RREdgeId e) const { return edgeBit_[e]; }
 
+  /// The switch edges a column owns, in edge-id order, and their bits:
+  /// edges[k] is controlled by bit firstBit + k.
+  struct EdgeRun {
+    std::uint32_t firstBit = 0;
+    std::span<const RREdgeId> edges;
+  };
+  EdgeRun edgeRun(std::uint16_t col) const;
+
   // ---- frame geometry ------------------------------------------------------
   std::uint32_t frameOfBit(std::uint32_t bit) const { return bit / frameBits_; }
   std::uint16_t columnOfFrame(std::uint32_t frame) const;
@@ -74,6 +83,9 @@ class ConfigMap {
   std::vector<std::uint32_t> clbBase_;      // per CLB flat index
   std::vector<std::uint32_t> padSlotBase_;  // per dense slot index
   std::vector<std::uint32_t> edgeBit_;      // per edge id
+  std::vector<RREdgeId> runEdges_;          // edge ids, column by column
+  std::vector<std::uint32_t> runStart_;     // per column, plus sentinel
+  std::vector<std::uint32_t> runBit_;       // per column: its first edge bit
   std::vector<std::uint32_t> colFrameStart_;  // per column, plus sentinel
 };
 

@@ -1,9 +1,10 @@
 #include "fabric/device.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <span>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace vfpga {
 
@@ -33,6 +34,34 @@ void Device::clearConfig() {
 }
 
 namespace {
+
+/// Calls f(k) for each set bit first + k of the image with k < count, k
+/// ascending, a 64-bit word at a time. Throws std::out_of_range, as
+/// ConfigImage::get() does, when the range runs past the image.
+template <typename F>
+void forEachSetBit(const ConfigImage& image, std::uint32_t first,
+                   std::size_t count, F&& f) {
+  if (first + count > image.size()) {
+    throw std::out_of_range("config bit beyond image");
+  }
+  const std::span<const std::uint8_t> bytes = image.raw();
+  for (std::size_t k = 0; k < count;) {
+    const std::size_t bit = first + k;
+    const std::size_t at = bit / 8;
+    const std::size_t n = std::min<std::size_t>(8, bytes.size() - at);
+    std::uint64_t word = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      word |= std::uint64_t{bytes[at + j]} << (8 * j);
+    }
+    const std::size_t take = std::min<std::size_t>(64 - bit % 8, count - k);
+    word >>= bit % 8;
+    if (take < 64) word &= (std::uint64_t{1} << take) - 1;
+    for (; word != 0; word &= word - 1) {
+      f(k + static_cast<std::size_t>(std::countr_zero(word)));
+    }
+    k += take;
+  }
+}
 
 SignalSource traceSource(const RoutingGraph& rrg, RRNodeId sink,
                          const std::vector<RREdgeId>& driverEdge,
@@ -95,18 +124,29 @@ Elaboration elaborate(const RoutingGraph& rrg, const ConfigMap& map,
   Elaboration elab;
   std::vector<std::string>& faults = elab.faults;
 
-  // 1. Resolve the unique enabled driver of every routing node.
+  // 1. Resolve the unique enabled driver of every routing node from the set
+  //    bits of each column's switch-edge run. A node's incoming edges all
+  //    lie in its owner column's run, in edge-id order (edgesInto's order),
+  //    so the first set edge met is its driver and every later one a
+  //    contention, reported in node order.
   std::vector<RREdgeId> driverEdge(rrg.nodeCount(),
                                    static_cast<RREdgeId>(-1));
-  for (RRNodeId n = 0; n < rrg.nodeCount(); ++n) {
-    for (RREdgeId e : rrg.edgesInto(n)) {
-      if (!image.get(map.edgeBit(e))) continue;
+  std::vector<RRNodeId> contended;  // once per extra driver
+  for (std::uint16_t c = 0; c < g.cols; ++c) {
+    const ConfigMap::EdgeRun run = map.edgeRun(c);
+    forEachSetBit(image, run.firstBit, run.edges.size(), [&](std::size_t k) {
+      const RREdgeId e = run.edges[k];
+      const RRNodeId n = rrg.edge(e).to;
       if (driverEdge[n] != static_cast<RREdgeId>(-1)) {
-        faults.push_back("driver contention at " + rrg.describe(n));
-        continue;
+        contended.push_back(n);
+      } else {
+        driverEdge[n] = e;
       }
-      driverEdge[n] = e;
-    }
+    });
+  }
+  std::sort(contended.begin(), contended.end());
+  for (const RRNodeId n : contended) {
+    faults.push_back("driver contention at " + rrg.describe(n));
   }
 
   // 2. Pad slot roles.

@@ -49,6 +49,8 @@ struct SignalSource {
   Kind kind = Kind::kUndriven;
   std::uint32_t index = 0;  ///< cell index or dense pad-slot index
   std::uint32_t hops = 0;   ///< switches traversed from origin to sink
+
+  bool operator==(const SignalSource&) const = default;
 };
 
 /// Decoded view of the configuration RAM.
@@ -59,10 +61,14 @@ struct Elaboration {
     bool useFf = false;
     std::uint32_t ffIndex = 0;  ///< dense FF number when useFf
     std::vector<SignalSource> inputs;  ///< K entries
+
+    bool operator==(const Cell&) const = default;
   };
   struct PadOut {
     std::uint32_t slot = 0;  ///< dense pad-slot index
     SignalSource source;
+
+    bool operator==(const PadOut&) const = default;
   };
 
   std::vector<Cell> cells;               ///< enabled CLBs
@@ -75,10 +81,15 @@ struct Elaboration {
   std::vector<std::string> faults;
 
   bool ok() const { return faults.empty(); }
+  bool operator==(const Elaboration&) const = default;
 };
 
 /// Pure decode of `image` on the fabric `rrg`/`map` describe; configuration
 /// faults land in Elaboration::faults. Device and OS registration share it.
+/// Switch drivers come from the set bits of each column's edge run
+/// (ConfigMap::edgeRun), a word at a time, so the decode costs what the
+/// image holds rather than the fabric's switch count. An image shorter than
+/// the bits the map uses throws std::out_of_range.
 Elaboration elaborate(const RoutingGraph& rrg, const ConfigMap& map,
                       const ConfigImage& image);
 

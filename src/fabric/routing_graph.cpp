@@ -31,6 +31,13 @@ void RoutingGraph::buildNodes() {
   const int rows = geom_.rows, cols = geom_.cols;
   const int K = geom_.lutInputs, W = geom_.wiresPerChannel;
 
+  const std::size_t clbs = geom_.clbCount();
+  nodes_.reserve(clbs * (1 + static_cast<std::size_t>(K)) +
+                 static_cast<std::size_t>(W) *
+                     ((rows + 1u) * static_cast<std::size_t>(cols) +
+                      (cols + 1u) * static_cast<std::size_t>(rows)) +
+                 geom_.padSlotCount());
+
   clbOutBase_ = 0;
   for (int y = 0; y < rows; ++y) {
     for (int x = 0; x < cols; ++x) {
@@ -120,6 +127,19 @@ void RoutingGraph::addEdge(RRNodeId from, RRNodeId to) {
 void RoutingGraph::buildEdges() {
   const int rows = geom_.rows, cols = geom_.cols;
   const int K = geom_.lutInputs, W = geom_.wiresPerChannel;
+
+  // Reserve the exact count: per CLB 4W output and KW input switches, per
+  // switchbox junction of n incident segments n(n - 1)W, per pad slot 2W.
+  std::size_t junctionPairs = 0;
+  for (int jy = 0; jy <= rows; ++jy) {
+    for (int jx = 0; jx <= cols; ++jx) {
+      const int n = (jx > 0) + (jx < cols) + (jy > 0) + (jy < rows);
+      junctionPairs += static_cast<std::size_t>(n * (n - 1));
+    }
+  }
+  edges_.reserve(static_cast<std::size_t>(W) *
+                 (geom_.clbCount() * (4 + static_cast<std::size_t>(K)) +
+                  junctionPairs + 2 * geom_.padSlotCount()));
 
   // 1. CLB outputs drive every wire of all four adjacent channel segments.
   for (int y = 0; y < rows; ++y) {

@@ -1,9 +1,9 @@
 // Digests and checksums shared across the library: FNV-1a, splitmix64 and
-// CRC-16/CCITT-FALSE by one byte table, over packed bit streams (frame
-// payloads, register snapshots: bit 0 of each byte first) or over bytes
-// (checkpoint payloads: bit 7 first). Header-inline: configDigest() runs
-// these on the compiled fast path's resolve step, and the digest values
-// are pinned by tests and baselines.
+// CRC-16/CCITT-FALSE by table, over packed bit streams (frame payloads,
+// register snapshots: bit 0 of each byte first, sliced 16 bytes at a time)
+// or over bytes (checkpoint payloads: bit 7 first, one byte at a time).
+// Header-inline: configDigest() runs these on the compiled fast path's
+// resolve step, and the digest values are pinned by tests and baselines.
 #pragma once
 
 #include <array>
@@ -46,30 +46,50 @@ inline std::uint64_t splitmix64(std::uint64_t x) {
 
 namespace detail {
 
-/// CRC-16/CCITT-FALSE (polynomial 0x1021) by the byte: `step[b]` is the
-/// register change of shifting in byte b most significant bit first, and
-/// `rev[b]` is b with its bit order reversed.
+/// CRC-16/CCITT-FALSE tables. `msbFirst[b]` is the register change of
+/// shifting in byte b most significant bit first (polynomial 0x1021,
+/// register shifted left). `lsbFirst` works in the reflected domain
+/// (polynomial 0x8408, register shifted right), where a byte enters bit 0
+/// first: `lsbFirst[k][b]` is the register change of shifting in byte b
+/// followed by k zero bytes, so a 16-byte step is sixteen independent
+/// lookups (slicing-by-16), and `lsbFirst[0]` alone steps one byte.
 struct Crc16Tables {
-  std::array<std::uint16_t, 256> step{};
-  std::array<std::uint8_t, 256> rev{};
+  std::array<std::uint16_t, 256> msbFirst{};
+  std::array<std::array<std::uint16_t, 256>, 16> lsbFirst{};
 };
 
 constexpr Crc16Tables makeCrc16Tables() {
   Crc16Tables t;
   for (unsigned b = 0; b < 256; ++b) {
-    unsigned crc = b << 8;
-    unsigned r = 0;
+    unsigned msb = b << 8;
+    unsigned lsb = b;
     for (int i = 0; i < 8; ++i) {
-      crc = (crc & 0x8000) != 0 ? (crc << 1) ^ 0x1021 : crc << 1;
-      r |= ((b >> i) & 1u) << (7 - i);
+      msb = (msb & 0x8000) != 0 ? (msb << 1) ^ 0x1021 : msb << 1;
+      lsb = (lsb & 1) != 0 ? (lsb >> 1) ^ 0x8408 : lsb >> 1;
     }
-    t.step[b] = static_cast<std::uint16_t>(crc);
-    t.rev[b] = static_cast<std::uint8_t>(r);
+    t.msbFirst[b] = static_cast<std::uint16_t>(msb);
+    t.lsbFirst[0][b] = static_cast<std::uint16_t>(lsb);
+  }
+  for (std::size_t k = 1; k < 16; ++k) {
+    for (unsigned b = 0; b < 256; ++b) {
+      const std::uint16_t prev = t.lsbFirst[k - 1][b];
+      t.lsbFirst[k][b] = static_cast<std::uint16_t>(
+          (prev >> 8) ^ t.lsbFirst[0][prev & 0xffu]);
+    }
   }
   return t;
 }
 
 inline constexpr Crc16Tables kCrc16 = makeCrc16Tables();
+
+/// `v` with its 16 bits in reverse order: the register moved between the
+/// CRC's normal and reflected domains.
+constexpr std::uint16_t reflect16(unsigned v) {
+  v = ((v >> 1) & 0x5555u) | ((v & 0x5555u) << 1);
+  v = ((v >> 2) & 0x3333u) | ((v & 0x3333u) << 2);
+  v = ((v >> 4) & 0x0f0fu) | ((v & 0x0f0fu) << 4);
+  return static_cast<std::uint16_t>(((v >> 8) & 0xffu) | ((v & 0xffu) << 8));
+}
 
 }  // namespace detail
 
@@ -77,24 +97,33 @@ inline constexpr std::uint16_t kCrc16Init = 0xFFFF;
 
 /// CRC-16/CCITT-FALSE over the first `bits` bits of a packed bit stream
 /// (bit i is bit i % 8 of byte i / 8, fed bit 0 first), continuing from
-/// `crc`. Whole bytes go through the table, bit-reversed so their bit 0
-/// enters first; the last bits % 8 bits are fed one at a time. Chaining
-/// calls over consecutive pieces equals one call over their concatenation.
+/// `crc`. Feeding bit 0 first is the reflected CRC's natural order, so the
+/// register is reflected once on the way in and once on the way out. In
+/// between, 16-byte steps (a 128-bit frame is one) go through the
+/// slicing-by-16 tables, the remaining whole bytes one lookup each, and the
+/// last bits % 8 bits one at a time. Chaining calls over consecutive pieces
+/// equals one call over their concatenation.
 inline std::uint16_t crc16PackedBits(std::uint16_t crc,
                                      std::span<const std::uint8_t> packed,
                                      std::size_t bits) {
+  const auto& t = detail::kCrc16.lsbFirst;
+  unsigned r = detail::reflect16(crc);
+  const std::uint8_t* p = packed.data();
   const std::size_t whole = bits / 8;
-  for (std::size_t i = 0; i < whole; ++i) {
-    crc = static_cast<std::uint16_t>(
-        (crc << 8) ^
-        detail::kCrc16.step[(crc >> 8) ^ detail::kCrc16.rev[packed[i]]]);
+  std::size_t i = 0;
+  for (; i + 16 <= whole; i += 16, p += 16) {
+    r = t[15][(r ^ p[0]) & 0xffu] ^ t[14][(r >> 8) ^ p[1]] ^ t[13][p[2]] ^
+        t[12][p[3]] ^ t[11][p[4]] ^ t[10][p[5]] ^ t[9][p[6]] ^ t[8][p[7]] ^
+        t[7][p[8]] ^ t[6][p[9]] ^ t[5][p[10]] ^ t[4][p[11]] ^ t[3][p[12]] ^
+        t[2][p[13]] ^ t[1][p[14]] ^ t[0][p[15]];
   }
-  for (std::size_t i = whole * 8; i < bits; ++i) {
-    const unsigned fb = ((crc >> 15) ^ (packed[i / 8] >> (i % 8))) & 1u;
-    crc = static_cast<std::uint16_t>(crc << 1);
-    if (fb != 0) crc ^= 0x1021;
+  for (; i < whole; ++i, ++p) r = (r >> 8) ^ t[0][(r ^ *p) & 0xffu];
+  for (std::size_t b = 0; b < bits % 8; ++b) {
+    const unsigned fb = (r ^ (*p >> b)) & 1u;
+    r >>= 1;
+    if (fb != 0) r ^= 0x8408u;
   }
-  return crc;
+  return detail::reflect16(r);
 }
 
 /// CRC-16/CCITT-FALSE over bytes, each fed most significant bit first (the
@@ -103,8 +132,8 @@ inline std::uint16_t crc16PackedBits(std::uint16_t crc,
 inline std::uint16_t crc16Bytes(std::span<const std::uint8_t> bytes) {
   std::uint16_t crc = kCrc16Init;
   for (const std::uint8_t b : bytes) {
-    crc = static_cast<std::uint16_t>((crc << 8) ^
-                                     detail::kCrc16.step[(crc >> 8) ^ b]);
+    crc = static_cast<std::uint16_t>(
+        (crc << 8) ^ detail::kCrc16.msbFirst[(crc >> 8) ^ b]);
   }
   return crc;
 }

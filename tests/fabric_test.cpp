@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "compile/compiler.hpp"
 #include "compile/loaded_circuit.hpp"
@@ -15,6 +16,8 @@
 #include "netlist/library/control.hpp"
 #include "sim/rng.hpp"
 #include "util/hash.hpp"
+#include "workloads/app_circuits.hpp"
+#include "workloads/compile_suite.hpp"
 
 namespace vfpga {
 namespace {
@@ -163,6 +166,25 @@ TEST(ConfigMap, BitsAreUniqueAndInRange) {
   for (std::uint32_t b : seen) EXPECT_LT(b, map.totalBits());
 }
 
+// Each column's edge run lists the switches the column owns, ids ascending,
+// edge k at bit firstBit + k; together the runs hold every edge once.
+TEST(ConfigMap, EdgeRunsListColumnEdgesInBitOrder) {
+  RoutingGraph rrg(tinyGeom());
+  ConfigMap map(rrg, 64);
+  std::size_t covered = 0;
+  for (std::uint16_t c = 0; c < rrg.geometry().cols; ++c) {
+    const ConfigMap::EdgeRun run = map.edgeRun(c);
+    for (std::size_t k = 0; k < run.edges.size(); ++k) {
+      const RREdgeId e = run.edges[k];
+      EXPECT_EQ(rrg.ownerColumn(rrg.edge(e).to), c);
+      EXPECT_EQ(map.edgeBit(e), run.firstBit + k);
+      if (k > 0) EXPECT_LT(run.edges[k - 1], e);
+    }
+    covered += run.edges.size();
+  }
+  EXPECT_EQ(covered, rrg.edgeCount());
+}
+
 TEST(ConfigMap, ColumnsAlignToFrames) {
   RoutingGraph rrg(tinyGeom());
   ConfigMap map(rrg, 64);
@@ -210,34 +232,71 @@ TEST(Bitstream, FullRoundTrip) {
   EXPECT_EQ(img, img2);
 }
 
-// The frame CRC by the byte table equals CRC-16/CCITT-FALSE fed one stream
-// bit at a time, for frame sizes that do and do not fill whole bytes.
+/// CRC-16/CCITT-FALSE fed one packed stream bit at a time, bit 0 of each
+/// byte first: the reference the table CRC must equal.
+std::uint16_t bitSerialCrc(std::uint16_t crc,
+                           std::span<const std::uint8_t> packed,
+                           std::size_t bits) {
+  for (std::size_t i = 0; i < bits; ++i) {
+    const unsigned b = (packed[i / 8] >> (i % 8)) & 1u;
+    const bool fb = ((crc >> 15) & 1u) != b;
+    crc = static_cast<std::uint16_t>(crc << 1);
+    if (fb) crc ^= 0x1021;
+  }
+  return crc;
+}
+
+// The frame CRC by the sliced tables equals CRC-16/CCITT-FALSE fed one
+// stream bit at a time: for frame sizes that do and do not fill whole
+// bytes; for every stream length around the 16-byte step, the byte tail and
+// the bit tail; for a call chain split at every byte; and from any register.
 TEST(Bitstream, TableCrcEqualsBitSerialReference) {
   Rng rng(26);
   for (int stream = 0; stream < 20000; ++stream) {
     Bitstream bs;
     bs.frameBits = static_cast<std::uint32_t>(1 + rng.below(200));
     const std::uint64_t frames = 1 + rng.below(12);
-    std::uint16_t ref = 0xFFFF;
+    std::uint16_t ref = kCrc16Init;
     std::uint16_t chained = kCrc16Init;
     for (std::uint64_t f = 0; f < frames; ++f) {
       Frame frame{static_cast<std::uint32_t>(f),
                   std::vector<std::uint8_t>(payloadBytes(bs.frameBits))};
-      std::vector<std::uint8_t> packed((bs.frameBits + 7) / 8);
       for (std::uint32_t i = 0; i < bs.frameBits; ++i) {
-        const bool b = rng.bernoulli(0.5);
-        frame.setBit(i, b);
-        packed[i / 8] |= static_cast<std::uint8_t>(b ? 1u << (i % 8) : 0);
-        const bool fb = ((ref >> 15) & 1) != (b ? 1 : 0);
-        ref = static_cast<std::uint16_t>(ref << 1);
-        if (fb) ref ^= 0x1021;
+        frame.setBit(i, rng.bernoulli(0.5));
       }
-      chained = crc16PackedBits(chained, packed, bs.frameBits);
+      ref = bitSerialCrc(ref, frame.payload, bs.frameBits);
+      chained = crc16PackedBits(chained, frame.payload, bs.frameBits);
       bs.frames.push_back(std::move(frame));
     }
     bs.sealCrc();
     ASSERT_EQ(chained, ref) << "stream " << stream;
     ASSERT_EQ(bs.crc, ref) << "stream " << stream;
+  }
+
+  for (std::size_t bytes = 0; bytes <= 40; ++bytes) {
+    for (std::size_t tail = 0; tail < 8; ++tail) {
+      // The byte past the tail bits is random too: bits past `bits` must
+      // not count.
+      std::vector<std::uint8_t> packed(bytes + 1);
+      for (std::uint8_t& b : packed) {
+        b = static_cast<std::uint8_t>(rng.below(256));
+      }
+      const std::size_t bits = bytes * 8 + tail;
+      const auto init = static_cast<std::uint16_t>(rng.below(0x10000));
+      for (const std::uint16_t start : {kCrc16Init, init}) {
+        const std::uint16_t want = bitSerialCrc(start, packed, bits);
+        ASSERT_EQ(crc16PackedBits(start, packed, bits), want)
+            << bytes << " bytes + " << tail << " bits from " << start;
+        for (std::size_t split = 0; split <= bytes; ++split) {
+          const std::uint16_t head =
+              crc16PackedBits(start, packed, split * 8);
+          ASSERT_EQ(crc16PackedBits(head, std::span(packed).subspan(split),
+                                    bits - split * 8),
+                    want)
+              << bytes << " bytes + " << tail << " bits split at " << split;
+        }
+      }
+    }
   }
 }
 
@@ -380,6 +439,247 @@ TEST_F(HandWiredInverter, UndrivenOutputPadIsAFault) {
   dev_->setConfigBit(map.padSlotEnableBit(orphan), true);
   dev_->setConfigBit(map.padSlotOutputBit(orphan), true);
   EXPECT_FALSE(dev_->configOk());
+}
+
+// ---- the set-bit decode against the node-order decode ----------------------
+
+/// elaborate() as it was before the set-bit decode: step 1 visits every
+/// routing node and tests each incoming switch's bit. The reference the
+/// set-bit decode must equal.
+SignalSource referenceTrace(const RoutingGraph& rrg, RRNodeId sink,
+                            const std::vector<RREdgeId>& driverEdge,
+                            std::vector<std::string>& faults) {
+  const FabricGeometry& g = rrg.geometry();
+  auto origin = [&](const RRNode& n, std::uint32_t hops) {
+    SignalSource src;
+    if (n.kind == RRKind::kClbOut) {
+      src.kind = SignalSource::Kind::kCell;
+      src.index = static_cast<std::uint32_t>(n.y) * g.cols +
+                  static_cast<std::uint32_t>(n.x);
+    } else if (n.kind == RRKind::kPadSlot) {
+      src.kind = SignalSource::Kind::kPadSlot;
+      src.index = static_cast<std::uint32_t>(n.pad) * g.slotsPerPad + n.index;
+    } else {
+      return SignalSource{};
+    }
+    src.hops = hops;
+    return src;
+  };
+  RRNodeId cur = sink;
+  std::uint32_t hops = 0;
+  for (std::size_t steps = 0; steps <= rrg.nodeCount(); ++steps) {
+    const RREdgeId de = driverEdge[cur];
+    if (de == static_cast<RREdgeId>(-1)) {
+      if (cur == sink) return {};
+      return origin(rrg.node(cur), hops);
+    }
+    const RRNodeId from = rrg.edge(de).from;
+    ++hops;
+    const RRKind kind = rrg.node(from).kind;
+    if (kind == RRKind::kClbOut || kind == RRKind::kPadSlot) {
+      return origin(rrg.node(from), hops);
+    }
+    cur = from;
+  }
+  faults.push_back("routing loop feeding " + rrg.describe(sink));
+  return {};
+}
+
+Elaboration nodeOrderElaborate(const RoutingGraph& rrg, const ConfigMap& map,
+                               const ConfigImage& image) {
+  const FabricGeometry& g = rrg.geometry();
+  Elaboration elab;
+  std::vector<std::string>& faults = elab.faults;
+  std::vector<RREdgeId> driverEdge(rrg.nodeCount(),
+                                   static_cast<RREdgeId>(-1));
+  for (RRNodeId n = 0; n < rrg.nodeCount(); ++n) {
+    for (RREdgeId e : rrg.edgesInto(n)) {
+      if (!image.get(map.edgeBit(e))) continue;
+      if (driverEdge[n] != static_cast<RREdgeId>(-1)) {
+        faults.push_back("driver contention at " + rrg.describe(n));
+        continue;
+      }
+      driverEdge[n] = e;
+    }
+  }
+  std::vector<std::int8_t> slotRole(g.padSlotCount(), -1);
+  for (std::size_t s = 0; s < g.padSlotCount(); ++s) {
+    if (!image.get(map.padSlotEnableBit(s))) continue;
+    slotRole[s] = image.get(map.padSlotOutputBit(s)) ? 1 : 0;
+    if (slotRole[s] == 0) elab.inputSlots.push_back(std::uint32_t(s));
+  }
+  elab.cellOfClb.assign(g.clbCount(), -1);
+  for (int y = 0; y < g.rows; ++y) {
+    for (int x = 0; x < g.cols; ++x) {
+      if (!image.get(map.clbEnableBit(x, y))) continue;
+      Elaboration::Cell cell;
+      cell.x = static_cast<std::uint16_t>(x);
+      cell.y = static_cast<std::uint16_t>(y);
+      for (std::uint32_t i = 0; i < g.lutBits(); ++i) {
+        if (image.get(map.clbLutBit(x, y, i))) cell.lutTable |= 1u << i;
+      }
+      cell.useFf = image.get(map.clbFfEnableBit(x, y));
+      if (cell.useFf) cell.ffIndex = elab.ffCount++;
+      for (int p = 0; p < g.lutInputs; ++p) {
+        cell.inputs.push_back(
+            referenceTrace(rrg, rrg.clbIn(x, y, p), driverEdge, faults));
+      }
+      elab.cellOfClb[std::size_t(y) * g.cols + std::size_t(x)] =
+          static_cast<std::int32_t>(elab.cells.size());
+      elab.cells.push_back(std::move(cell));
+    }
+  }
+  auto patch = [&](SignalSource& s, const char* what) {
+    if (s.kind == SignalSource::Kind::kCell) {
+      const std::int32_t ci = elab.cellOfClb[s.index];
+      if (ci < 0) {
+        faults.push_back(std::string("signal from disabled CLB into ") + what);
+        s.kind = SignalSource::Kind::kUndriven;
+        return;
+      }
+      s.index = static_cast<std::uint32_t>(ci);
+    } else if (s.kind == SignalSource::Kind::kPadSlot &&
+               slotRole[s.index] != 0) {
+      faults.push_back(std::string("signal from non-input pad slot into ") +
+                       what);
+      s.kind = SignalSource::Kind::kUndriven;
+    }
+  };
+  for (auto& cell : elab.cells) {
+    for (auto& in : cell.inputs) patch(in, "CLB");
+  }
+  for (std::size_t s = 0; s < g.padSlotCount(); ++s) {
+    if (slotRole[s] != 1) continue;
+    Elaboration::PadOut po;
+    po.slot = static_cast<std::uint32_t>(s);
+    po.source = referenceTrace(
+        rrg, rrg.padSlot(s / g.slotsPerPad, int(s % g.slotsPerPad)),
+        driverEdge, faults);
+    patch(po.source, "output pad");
+    if (po.source.kind == SignalSource::Kind::kUndriven) {
+      faults.push_back("undriven output pad slot " + std::to_string(s));
+    }
+    elab.padOuts.push_back(po);
+  }
+  const std::size_t nc = elab.cells.size();
+  std::vector<std::uint32_t> indeg(nc, 0);
+  std::vector<std::vector<std::uint32_t>> fanout(nc);
+  for (std::uint32_t ci = 0; ci < nc; ++ci) {
+    for (const SignalSource& in : elab.cells[ci].inputs) {
+      if (in.kind == SignalSource::Kind::kCell &&
+          !elab.cells[in.index].useFf) {
+        ++indeg[ci];
+        fanout[in.index].push_back(ci);
+      }
+    }
+  }
+  std::vector<std::uint32_t> ready;
+  for (std::uint32_t ci = 0; ci < nc; ++ci) {
+    if (indeg[ci] == 0) ready.push_back(ci);
+  }
+  while (!ready.empty()) {
+    const std::uint32_t ci = ready.back();
+    ready.pop_back();
+    elab.evalOrder.push_back(ci);
+    for (std::uint32_t out : fanout[ci]) {
+      if (--indeg[out] == 0) ready.push_back(out);
+    }
+  }
+  if (elab.evalOrder.size() != nc) {
+    faults.push_back("combinational loop through routing");
+  }
+  return elab;
+}
+
+/// The std::out_of_range message a decode throws, or "" when it returns.
+template <typename Decode>
+std::string outOfRangeOf(Decode&& decode) {
+  try {
+    decode();
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The set-bit decode yields the node-order decode's whole Elaboration: on
+// the registration images of the control and telecom suites, on random
+// images, on images with several drivers per node (the contention faults in
+// the same order), and on images shorter than the map.
+TEST(Elaborate, SetBitDecodeEqualsNodeOrderReference) {
+  const DeviceProfile profile = mediumPartialProfile();
+  Device dev = profile.makeDevice();
+  const RoutingGraph& rrg = dev.rrg();
+  const ConfigMap& map = dev.configMap();
+  auto expectSame = [&](const ConfigImage& image, const std::string& what) {
+    const Elaboration want = nodeOrderElaborate(rrg, map, image);
+    const Elaboration got = elaborate(rrg, map, image);
+    EXPECT_EQ(got.faults, want.faults) << what;
+    EXPECT_TRUE(got == want) << what;
+  };
+
+  std::vector<ConfigImage> registered;
+  {
+    Compiler compiler(dev);
+    std::vector<workloads::AppCircuit> apps = workloads::controlSuite();
+    for (workloads::AppCircuit& a : workloads::telecomSuite()) {
+      apps.push_back(std::move(a));
+    }
+    for (const workloads::AppCircuit& a : apps) {
+      const CompiledCircuit c = workloads::compileMinimal(compiler, a.netlist);
+      ConfigImage image(map.totalBits());
+      applyBitstream(image, c.partialBitstream());
+      ASSERT_TRUE(elaborate(rrg, map, image).ok()) << a.name;
+      expectSame(image, a.name);
+      registered.push_back(std::move(image));
+    }
+  }
+  EXPECT_GE(registered.size(), 11u);
+
+  Rng rng(27);
+  for (const double density : {0.0005, 0.005, 0.05, 0.5}) {
+    ConfigImage image(map.totalBits());
+    for (std::uint32_t b = 0; b < map.totalBits(); ++b) {
+      if (rng.bernoulli(density)) image.set(b, true);
+    }
+    expectSame(image, "random, density " + std::to_string(density));
+  }
+
+  // Extra drivers onto random nodes of each circuit: every node gets two or
+  // three of its incoming switches, so faults repeat per node.
+  for (std::size_t i = 0; i < registered.size(); ++i) {
+    ConfigImage image = registered[i];
+    for (int n = 0; n < 40; ++n) {
+      const auto node = static_cast<RRNodeId>(rng.below(rrg.nodeCount()));
+      const std::span<const RREdgeId> in = rrg.edgesInto(node);
+      if (in.size() < 2) continue;
+      const std::uint64_t drivers = 2 + rng.below(2);
+      for (std::uint64_t d = 0; d < drivers; ++d) {
+        image.set(map.edgeBit(in[rng.below(in.size())]), true);
+      }
+    }
+    const Elaboration got = elaborate(rrg, map, image);
+    EXPECT_FALSE(got.ok());
+    expectSame(image, "contended circuit " + std::to_string(i));
+  }
+
+  // Images one bit short of the last switch bit, and short only of the
+  // padding past it.
+  std::uint32_t lastUsed = 0;
+  for (RREdgeId e = 0; e < rrg.edgeCount(); ++e) {
+    lastUsed = std::max(lastUsed, map.edgeBit(e));
+  }
+  const ConfigImage cut(lastUsed);
+  const std::string want =
+      outOfRangeOf([&] { nodeOrderElaborate(rrg, map, cut); });
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(outOfRangeOf([&] { elaborate(rrg, map, cut); }), want);
+  ASSERT_LT(lastUsed + 1, map.totalBits());
+  ConfigImage padless(lastUsed + 1);
+  for (std::uint32_t b = 0; b <= lastUsed; ++b) {
+    padless.set(b, registered.front().get(b));
+  }
+  expectSame(padless, "image without the last frame's padding");
 }
 
 TEST(Device, FfStateRoundTripThroughRegisteredCell) {
