@@ -46,7 +46,9 @@ Installed installCircuit(Device& dev, ConfigPort& port,
     out.resumeCorrupt = true;
   }
   LoadedCircuit(dev, c).applyInitialState();
-  if (c.needsInitialState() && port.spec().stateAccess) {
+  // All-zero initial values come free only with a written configuration.
+  const bool free = !c.needsInitialState() && !bs.frames.empty();
+  if (!free && port.spec().stateAccess) {
     out.stateTime = port.chargeStateWrite(c.ffCount());
   }
   return out;

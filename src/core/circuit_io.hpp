@@ -7,7 +7,8 @@
 //  * a register save is a state readback and a restore a state writeback,
 //    each charged for the circuit's FF count; both need state access;
 //  * an install gives the registers their initial values, a charged
-//    writeback when some value is 1 and the port has state access, and
+//    writeback when the port has state access and some value is 1 or no
+//    configuration is written (the resident circuit's owner changes), and
 //    free with the configuration otherwise (init-by-configuration);
 //  * every resume is an install's: a carried snapshot (a relocation, a
 //    migration, a checkpoint or a preempted task's) replaces the initial

@@ -178,15 +178,17 @@ OsOptions withPolicy(FpgaPolicy policy) {
 TEST(OsKernelTranscript, PinnedAcrossPolicies) {
   EXPECT_EQ(runOne(withPolicy(FpgaPolicy::kSoftwareOnly), false).digest,
             0x0d2fd51251b6fdb6ull);
+  // The exclusive and dynamic-loading pins were re-pinned when an owner
+  // switch of the resident circuit began to charge its register reset.
   EXPECT_EQ(runOne(withPolicy(FpgaPolicy::kExclusive), false).digest,
-            0xf6f3338e04432c59ull);
+            0x01927dcec4296ff4ull);
   EXPECT_EQ(runOne(withPolicy(FpgaPolicy::kDynamicLoading), false).digest,
-            0x032d0458f58e636dull);
+            0x0f906c7a922c8470ull);
   OsOptions sliced = withPolicy(FpgaPolicy::kDynamicLoading);
   sliced.fpgaSlice = micros(400);
-  EXPECT_EQ(runOne(sliced, false).digest, 0xfd19feee6ed6f24bull);
+  EXPECT_EQ(runOne(sliced, false).digest, 0x75a469f3c0ecb968ull);
   sliced.saveStateOnPreempt = false;
-  EXPECT_EQ(runOne(sliced, false).digest, 0x3788a8cadc5aa8f1ull);
+  EXPECT_EQ(runOne(sliced, false).digest, 0x7393617fed090ed0ull);
   OsOptions fixed = withPolicy(FpgaPolicy::kPartitionedFixed);
   fixed.fixedWidths = {4, 4, 4};
   EXPECT_EQ(runOne(fixed, false).digest, 0x08f7a4a132461977ull);
@@ -245,8 +247,9 @@ TEST(OsKernelTranscript, PinnedUnderFaults) {
   sliced.fpgaSlice = micros(400);
   const Outcome w = runOne(sliced, false);
   // Re-pinned when a snapshot rejected by its CRC became a roll-back that
-  // owes the whole op and runs it to completion.
-  EXPECT_EQ(w.digest, 0xd9f314cc7b699a64ull);
+  // owes the whole op and runs it to completion, and again when an owner
+  // switch of the resident circuit began to charge its register reset.
+  EXPECT_EQ(w.digest, 0x4e8dbffb510c1ab2ull);
   EXPECT_GT(w.health.watchdogPreempts, 0u);
   EXPECT_GT(w.health.stateCrcFailures, 0u);
 }
