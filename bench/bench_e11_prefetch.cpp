@@ -65,7 +65,7 @@ int main() {
         Device dev = prof.makeDevice();
         ConfigPort port(dev, prof.port);
         Compiler compiler(dev);
-        ConfigRegistry registry;
+        ConfigRegistry registry(dev);
         makeCircuits(compiler, registry);
         DynamicLoader loader(dev, port, registry);
         for (ConfigId id : trace) {
@@ -80,7 +80,7 @@ int main() {
         Device dev = prof.makeDevice();
         ConfigPort port(dev, prof.port);
         Compiler compiler(dev);
-        ConfigRegistry registry;
+        ConfigRegistry registry(dev);
         makeCircuits(compiler, registry);
         PrefetchLoader loader(dev, port, registry, compiler);
         SimTime now = 0;

@@ -32,7 +32,7 @@ int main() {
     Device dev = prof.makeDevice();
     ConfigPort port(dev, prof.port);
     Compiler compiler(dev);
-    ConfigRegistry registry;
+    ConfigRegistry registry(dev);
     DynamicLoader loader(dev, port, registry);
 
     Netlist sr = lib::makeShiftRegister(bits);
@@ -83,7 +83,7 @@ int main() {
     Device dev = p.makeDevice();
     ConfigPort port(dev, p.port);
     Compiler compiler(dev);
-    ConfigRegistry registry;
+    ConfigRegistry registry(dev);
     auto circuits = standardCircuits();
     CompiledCircuit ca = compiler.compile(
         circuits[0].netlist, Region::columns(dev.geometry(), 0, 4));

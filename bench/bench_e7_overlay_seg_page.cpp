@@ -81,7 +81,7 @@ int main() {
       Device dev = prof.makeDevice();
       ConfigPort port(dev, prof.port);
       Compiler compiler(dev);
-      ConfigRegistry registry;
+      ConfigRegistry registry(dev);
       auto circuits = compileFunctions(compiler, dev.geometry());
       std::vector<ConfigId> ids;
       for (auto& c : circuits) ids.push_back(registry.add(std::move(c)));

@@ -74,7 +74,7 @@ int main() {
     Device dev = small.makeDevice();
     ConfigPort port(dev, small.port);
     Compiler compiler(dev);
-    ConfigRegistry registry;
+    ConfigRegistry registry(dev);
     std::vector<ConfigId> ids;
     std::uint16_t sumCols = 0;
     for (CompiledCircuit& c : compiled[d]) {

@@ -25,7 +25,7 @@ int main() {
   Device device = profile.makeDevice();
   ConfigPort port(device, profile.port);
   Compiler compiler(device);
-  ConfigRegistry registry;
+  ConfigRegistry registry(device);
   PartitionManager pm(device, port, registry, compiler, {});
 
   Netlist pi = lib::makePiController(8, 2, 4);

@@ -53,7 +53,7 @@ int main() {
   Device device = profile.makeDevice();
   ConfigPort port(device, profile.port);
   Compiler compiler(device);
-  ConfigRegistry registry;
+  ConfigRegistry registry(device);
   DynamicLoader loader(device, port, registry);
 
   // Compile the three codec front-ends into same-width strips.

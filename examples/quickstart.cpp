@@ -35,7 +35,7 @@ int main() {
               adder.cellCount(), adder.portCount(),
               adder.partialBitstream().frameCount());
 
-  ConfigRegistry registry;
+  ConfigRegistry registry(device);
   DynamicLoader loader(device, port, registry);
   const ConfigId adderId = registry.add(adder);
 

@@ -41,7 +41,7 @@ int main() {
     Device dev = prof.makeDevice();
     ConfigPort port(dev, prof.port);
     Compiler compiler(dev);
-    ConfigRegistry registry;
+    ConfigRegistry registry(dev);
     DynamicLoader loader(dev, port, registry);
     const Region strip = Region::columns(dev.geometry(), 0, 4);
     ConfigId a = registry.add(
@@ -62,7 +62,7 @@ int main() {
     Device dev = prof.makeDevice();
     ConfigPort port(dev, prof.port);
     Compiler compiler(dev);
-    ConfigRegistry registry;
+    ConfigRegistry registry(dev);
     PartitionManager pm(dev, port, registry, compiler, {});
     const Region strip = Region::columns(dev.geometry(), 0, 4);
     ConfigId a = registry.add(

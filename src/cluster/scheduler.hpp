@@ -188,7 +188,7 @@ class ClusterScheduler {
 
   /// Campaign-wide resource ledger: one row per kernel task per device
   /// (a migrated job leaves a row on each device it touched), with
-  /// bitstream-cache hit/miss attribution from the pool's registration
+  /// circuit-store hit/miss attribution from the pool's registration
   /// record. finalizeResults() publishes its rollup into the registry.
   obs::profile::ResourceLedger resourceLedger() const;
 

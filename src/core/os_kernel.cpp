@@ -38,7 +38,8 @@ std::uint32_t trackOf(std::size_t t) {
 OsKernel::OsKernel(Simulation& sim, Device& device, ConfigPort& port,
                    Compiler& compiler, OsOptions options)
     : sim_(&sim), dev_(&device), port_(&port), compiler_(&compiler),
-      options_(std::move(options)), loader_(device, port, registry_),
+      options_(std::move(options)), registry_(device),
+      loader_(device, port, registry_),
       spans_(obs::SpanTracer::Clock([this] { return sim_->now(); })),
       cTasksFinished_(metricsRegistry_.counter(
           "vfpga_os_tasks_finished_total", policyLabels(options_.policy),
@@ -210,21 +211,14 @@ const OsMetrics& OsKernel::metrics() const {
   return metricsView_;
 }
 
-ConfigId OsKernel::registerConfig(CompiledCircuit circuit) {
+ConfigId OsKernel::registerConfig(std::shared_ptr<const StoredCircuit> entry) {
   if (started_) throw std::logic_error("register configs before run()");
-  // The clock period of the real routed design is a function of its partial
-  // bitstream alone: decode it on a blank image and read the timing analyzer.
-  ConfigImage image(dev_->configMap().totalBits());
-  applyBitstream(image, circuit.partialBitstream());
-  const Elaboration elab = elaborate(dev_->rrg(), dev_->configMap(), image);
-  if (!elab.ok()) {
-    throw std::logic_error("registered circuit does not decode: " +
-                           elab.faults.front());
-  }
-  const ConfigId id = registry_.add(std::move(circuit));
-  clockPeriods_.push_back(criticalPathDelay(elab, dev_->timing()) +
-                          dev_->timing().clockMargin);
-  return id;
+  return registry_.add(std::move(entry));
+}
+
+ConfigId OsKernel::registerConfig(CompiledCircuit circuit) {
+  return registerConfig(
+      std::make_shared<const StoredCircuit>(std::move(circuit), *dev_));
 }
 
 std::vector<std::uint64_t> OsKernel::linksFor(ConfigId id) const {
@@ -466,7 +460,7 @@ const FpgaExec& OsKernel::currentExec(std::size_t t) const {
 
 SimDuration OsKernel::execDuration(const FpgaExec& fx,
                                    std::uint64_t cycles) const {
-  return cycles * clockPeriods_.at(fx.config);
+  return cycles * clockPeriod(fx.config);
 }
 
 void OsKernel::onArrive(std::size_t t) {
@@ -841,7 +835,7 @@ void OsKernel::dispatchWholeDevice() {
   SimDuration runFor = execDuration(fx, tr.cyclesRemaining);
   if (preemptive) runFor = std::min(runFor, options_.fpgaSlice);
   const std::uint64_t cyclesRun =
-      std::min(std::max<std::uint64_t>(runFor / clockPeriods_.at(fx.config), 1),
+      std::min(std::max<std::uint64_t>(runFor / clockPeriod(fx.config), 1),
                tr.cyclesRemaining);
   const SimDuration execTime =
       startExec(t, cyclesRun, "os.fpga_exec", start, cost.total,
@@ -979,7 +973,7 @@ SimDuration OsKernel::readBack(std::size_t t, std::vector<bool>& registers,
 
 std::uint64_t OsKernel::cyclesOwed(const RunningExec& re, ConfigId config,
                                    std::uint64_t cap) const {
-  const SimDuration period = clockPeriods_.at(config);
+  const SimDuration period = clockPeriod(config);
   const SimTime now = sim_->now();
   std::uint64_t owed = 0;
   if (re.deadline > now && period > 0) {

@@ -130,9 +130,12 @@ class OsKernel {
   OsKernel(const OsKernel&) = delete;
   OsKernel& operator=(const OsKernel&) = delete;
 
-  /// Registers a configuration, its clock period read from its image with
+  /// Registers a stored circuit, shared with whoever else holds the entry
+  /// (the cluster's kernels on the same fabric). Call before addTask.
+  ConfigId registerConfig(std::shared_ptr<const StoredCircuit> entry);
+  /// Registers a private entry: its clock period read from its image with
   /// nothing written to the device or the port. Throws std::logic_error
-  /// when the image does not decode. Call before addTask.
+  /// when the image does not decode.
   ConfigId registerConfig(CompiledCircuit circuit);
 
   /// Installs a registered configuration as a *service* — the paper's §3
@@ -246,7 +249,9 @@ class OsKernel {
   obs::FlightRecorder& flightRecorder() { return flight_; }
   Simulation& sim() { return *sim_; }
   /// Measured clock period of a registered configuration.
-  SimDuration clockPeriod(ConfigId id) const { return clockPeriods_.at(id); }
+  SimDuration clockPeriod(ConfigId id) const {
+    return registry_.entry(id).clockPeriod();
+  }
   /// Compile-flow span id that produced `config` (0 when the circuit was
   /// compiled without a tracer attached). OS download/exec spans carry it
   /// in their `links`, so reports can join runtime cost to compile phase.
@@ -285,7 +290,6 @@ class OsKernel {
   Compiler* compiler_;
   OsOptions options_;
   ConfigRegistry registry_;
-  std::vector<SimDuration> clockPeriods_;  ///< parallel to registry_
   DynamicLoader loader_;
   std::optional<PartitionManager> pm_;
   Trace trace_;

@@ -73,7 +73,7 @@ std::optional<PartitionManager::LoadResult> PartitionManager::load(
 
   result.partition = *grant;
   const Strip& strip = alloc_.strip(*grant);
-  const Placed* placed = nullptr;
+  const CompiledCircuit* placed = nullptr;
   try {
     placed = &registry_->placed(id, strip.x0, *compiler_);
   } catch (...) {
@@ -92,19 +92,18 @@ std::optional<PartitionManager::LoadResult> PartitionManager::load(
         static_cast<std::uint16_t>(strip.x0 + canon.region.w),
         static_cast<std::uint16_t>(strip.width - canon.region.w));
   }
-  occupants_[*grant] = placed;
+  occupants_[*grant] = Occupant{id, placed};
   notifyOccupancy("allocate");
   if (analysis::invariantChecksEnabled()) checkInvariants();
   return result;
 }
 
-Installed PartitionManager::installInto(const Placed& placed,
+Installed PartitionManager::installInto(const CompiledCircuit& c,
                                         const SealedState* resume) {
   // A serial-full-only port cannot write one strip in isolation: it
   // re-downloads the whole intended image (which already holds the other
   // partitions) with the new strip merged in. A partial port downloads the
   // circuit's partial itself, bound by reference rather than copied.
-  const CompiledCircuit& c = placed.circuit;
   Bitstream merged;
   if (!port_->spec().partialReconfig) {
     merged = port_->columnsBitstream(c.partialBitstream(), c.region.x0,
@@ -143,21 +142,21 @@ SimDuration PartitionManager::blankInactiveStrips() {
   return cost;
 }
 
-SimDuration PartitionManager::relocateOccupant(const Placed*& occ,
+SimDuration PartitionManager::relocateOccupant(Occupant& occ,
                                                std::uint16_t fromX0,
                                                std::uint16_t toX0) {
   // Capture the register state *before* touching the configuration RAM,
   // sealed so that fault-plan corruption is detected at the resume.
   SealedState state;
   SimDuration cost =
-      saveSealed(*dev_, *port_, occ->circuit, state, options_.plan);
+      saveSealed(*dev_, *port_, *occ.circuit, state, options_.plan);
   // Blank the old strip (its columns may not be covered by any new
   // occupant after packing), then install at the new location.
-  cost += blankColumns(fromX0, occ->circuit.region.w);
-  occ = &registry_->placed(occ->config, toX0, *compiler_);
+  cost += blankColumns(fromX0, occ.circuit->region.w);
+  occ.circuit = &registry_->placed(occ.config, toX0, *compiler_);
   ++relocationsDone_;
   if (sink_) {
-    sink_(TraceKind::kRelocate, occ->circuit.name + ": x" +
+    sink_(TraceKind::kRelocate, occ.circuit->name + ": x" +
                                     std::to_string(fromX0) + " -> x" +
                                     std::to_string(toX0));
   }
@@ -165,7 +164,7 @@ SimDuration PartitionManager::relocateOccupant(const Placed*& occ,
   // golden image already holds the intent, so the next scrub repairs it.
   // A snapshot that rotted in transit is dropped: the circuit restarts
   // from its initial values instead of resuming with garbage.
-  const Installed in = installInto(*occ, &state);
+  const Installed in = installInto(*occ.circuit, &state);
   cost += in.time();
   if (in.resumeCorrupt) ++ftStats_.stateCrcFailures;
   notifyOccupancy("relocate");
@@ -213,8 +212,8 @@ PartitionManager::QuarantineResult PartitionManager::quarantine(
     // Busy strip: evacuate the occupant to another strip first.
     const PartitionId victim = hit->id;
     const std::uint16_t fromX0 = hit->x0;
-    const Placed*& occ = occupants_.at(victim);
-    const std::uint16_t w = occ->circuit.region.w;
+    Occupant& occ = occupants_.at(victim);
+    const std::uint16_t w = occ.circuit->region.w;
     auto grant = alloc_.allocate(w, options_.fit);
     if (!grant) {
       if (attempt == 0 && options_.garbageCollect && !alloc_.isFixed() &&
@@ -291,7 +290,7 @@ const CompiledCircuit& PartitionManager::circuitIn(PartitionId id) const {
   if (it == occupants_.end()) {
     throw std::out_of_range("partition has no occupant");
   }
-  return it->second->circuit;
+  return *it->second.circuit;
 }
 
 std::vector<PartitionId> PartitionManager::occupiedPartitions() const {
@@ -308,10 +307,10 @@ void PartitionManager::checkInvariants() const {
                          rep);
   std::vector<analysis::OccupantInfo> occ;
   occ.reserve(occupants_.size());
-  for (const auto& [partition, placed] : occupants_) {
-    occ.push_back(analysis::OccupantInfo{partition, placed->circuit.region.x0,
-                                         placed->circuit.region.w,
-                                         placed->circuit.name});
+  for (const auto& [partition, o] : occupants_) {
+    occ.push_back(analysis::OccupantInfo{partition, o.circuit->region.x0,
+                                         o.circuit->region.w,
+                                         o.circuit->name});
   }
   analysis::verifyOccupancy(alloc_.strips(), occ, rep);
   analysis::throwIfErrors(rep, "PartitionManager");

@@ -117,7 +117,7 @@ class PartitionManager {
   /// Harness for the circuit loaded in a partition (valid until unload or
   /// the next garbage collection, which may move it).
   LoadedCircuit loaded(PartitionId id);
-  /// The relocated circuit in a partition (the registry's copy; see Placed).
+  /// The relocated circuit in a partition (the registry's copy).
   const CompiledCircuit& circuitIn(PartitionId id) const;
   /// All currently occupied partitions, ascending (deterministic order for
   /// whole-device sweeps like the post-scrub equivalence audit).
@@ -154,7 +154,12 @@ class PartitionManager {
   Compiler* compiler_;
   PartitionManagerOptions options_;
   StripAllocator alloc_;
-  std::unordered_map<PartitionId, const Placed*> occupants_;
+  /// A partition's config and its copy relocated into the strip.
+  struct Occupant {
+    ConfigId config;
+    const CompiledCircuit* circuit;
+  };
+  std::unordered_map<PartitionId, Occupant> occupants_;
   std::vector<PartitionId> pinned_;  ///< see pin()
   std::uint64_t gcRuns_ = 0;
   std::uint64_t relocationsDone_ = 0;
@@ -166,14 +171,14 @@ class PartitionManager {
     if (occupancyObserver_) occupancyObserver_(event);
   }
 
-  /// Installs a placed circuit into its strip, resuming `resume` (nullptr
-  /// = initial register values), counting retries and failures.
-  Installed installInto(const Placed& placed, const SealedState* resume);
+  /// Installs a relocated circuit into its strip, resuming `resume`
+  /// (nullptr = initial register values), counting retries and failures.
+  Installed installInto(const CompiledCircuit& c, const SealedState* resume);
   SimDuration blankColumns(std::uint16_t x0, std::uint16_t width);
   SimDuration blankInactiveStrips();
   /// Moves one occupant's circuit from `fromX0` to `toX0`: register save
   /// (sealed), blank, install the copy for `toX0` resuming the registers.
-  SimDuration relocateOccupant(const Placed*& occ, std::uint16_t fromX0,
+  SimDuration relocateOccupant(Occupant& occ, std::uint16_t fromX0,
                                std::uint16_t toX0);
   SimDuration compactNow();
 };

@@ -18,7 +18,7 @@ PrefetchLoader::PrefetchLoader(Device& device, ConfigPort& port,
   }
 }
 
-const Placed& PrefetchLoader::placedIn(ConfigId id, int half) {
+const CompiledCircuit& PrefetchLoader::placedIn(ConfigId id, int half) {
   const CompiledCircuit& canon = registry_->circuit(id);
   if (!canon.relocatable || canon.region.w > halfWidth_) {
     throw std::invalid_argument(
@@ -30,15 +30,15 @@ const Placed& PrefetchLoader::placedIn(ConfigId id, int half) {
 }
 
 SimDuration PrefetchLoader::loadInto(ConfigId id, int half) {
-  const Placed& p = placedIn(id, half);
+  const CompiledCircuit& c = placedIn(id, half);
   // Blank whatever the half held and write the circuit in one pass over the
   // half's columns: those the circuit's frames do not cover are written blank.
   const std::uint16_t c0 = static_cast<std::uint16_t>(half == 0 ? 0 : halfWidth_);
   const std::uint16_t c1 = static_cast<std::uint16_t>(c0 + halfWidth_ - 1);
   const Bitstream bs =
-      port_->columnsBitstream(p.circuit.partialBitstream(), c0, c1,
+      port_->columnsBitstream(c.partialBitstream(), c0, c1,
                               /*changedOnly=*/true);
-  return installCircuit(*dev_, *port_, p.circuit, bs).time();
+  return installCircuit(*dev_, *port_, c, bs).time();
 }
 
 std::optional<ConfigId> PrefetchLoader::predictAfter(ConfigId id) const {
@@ -101,7 +101,7 @@ PrefetchLoader::SwitchResult PrefetchLoader::activate(ConfigId id,
 
 LoadedCircuit PrefetchLoader::loaded() {
   if (active_ == kNoConfig) throw std::logic_error("nothing active");
-  return LoadedCircuit(*dev_, placedIn(active_, activeHalf_).circuit);
+  return LoadedCircuit(*dev_, placedIn(active_, activeHalf_));
 }
 
 }  // namespace vfpga

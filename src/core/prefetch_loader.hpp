@@ -77,7 +77,7 @@ class PrefetchLoader {
   std::uint64_t misses_ = 0;
   SimDuration stallTotal_ = 0;
 
-  const Placed& placedIn(ConfigId id, int half);
+  const CompiledCircuit& placedIn(ConfigId id, int half);
   SimDuration loadInto(ConfigId id, int half);
   std::optional<ConfigId> predictAfter(ConfigId id) const;
   void startPrefetch(SimTime from);

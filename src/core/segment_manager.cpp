@@ -10,7 +10,7 @@ namespace vfpga {
 SegmentManager::SegmentManager(Device& device, ConfigPort& port,
                                Compiler& compiler, ReplacementPolicy policy)
     : dev_(&device), port_(&port), compiler_(&compiler), policy_(policy),
-      alloc_(device.geometry().cols) {
+      alloc_(device.geometry().cols), segments_(device) {
   if (!port.spec().partialReconfig) {
     throw std::invalid_argument(
         "segmentation needs a partial-reconfiguration port (a segment fault "
@@ -91,10 +91,9 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
         for (auto& [seg, res] : residency_) {
           if (res.strip != move.id) continue;
           SealedState regs;
-          r.cost += saveSealed(*dev_, *port_, res.placed->circuit, regs,
-                               nullptr);
+          r.cost += saveSealed(*dev_, *port_, *res.placed, regs, nullptr);
           res.placed = &segments_.placed(seg, move.toX0, *compiler_);
-          const CompiledCircuit& moved = res.placed->circuit;
+          const CompiledCircuit& moved = *res.placed;
           r.cost += installCircuit(*dev_, *port_, moved,
                                    moved.partialBitstream(), {}, &regs).time();
         }
@@ -102,18 +101,17 @@ SegmentManager::AccessResult SegmentManager::access(SegmentId id) {
     }
     grant = alloc_.allocate(width);
   }
-  const Placed& placed =
+  const CompiledCircuit& placed =
       segments_.placed(id, alloc_.strip(*grant).x0, *compiler_);
-  r.cost += installCircuit(*dev_, *port_, placed.circuit,
-                           placed.circuit.partialBitstream())
-                .time();
+  r.cost +=
+      installCircuit(*dev_, *port_, placed, placed.partialBitstream()).time();
   residency_[id] = Residency{*grant, clock_, clock_, &placed};
   if (analysis::invariantChecksEnabled()) checkInvariants();
   return r;
 }
 
 LoadedCircuit SegmentManager::loaded(SegmentId id) {
-  return LoadedCircuit(*dev_, residency_.at(id).placed->circuit);
+  return LoadedCircuit(*dev_, *residency_.at(id).placed);
 }
 
 void SegmentManager::checkInvariants() const {

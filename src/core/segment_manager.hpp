@@ -89,7 +89,7 @@ class SegmentManager {
     PartitionId strip;
     std::uint64_t loadedAt;
     std::uint64_t lastUse;
-    const Placed* placed;  ///< the segment relocated into its strip
+    const CompiledCircuit* placed;  ///< the segment relocated into its strip
   };
   std::unordered_map<SegmentId, Residency> residency_;
   std::uint64_t clock_ = 0;

@@ -746,13 +746,13 @@ TEST(FaultLint, CheckpointVerdictsMapToCkRules) {
 
 TEST(ClusterCheckpoint, SubmitFromCheckpointCompletesOnAnyDevice) {
   Simulation sim;
-  cluster::BitstreamCache cache(8);
+  CircuitStore store;
   std::vector<cluster::DeviceNodeSpec> specs(2);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     specs[i].name = "dev" + std::to_string(i);
     specs[i].profile = mediumPartialProfile();
   }
-  cluster::DevicePool pool(sim, specs, cache);
+  cluster::DevicePool pool(sim, specs, store);
   const cluster::WorkloadId count =
       pool.registerWorkload("count", named(lib::makeCounter(6), "count"), 4);
   cluster::ClusterOptions copt;

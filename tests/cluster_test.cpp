@@ -1,6 +1,6 @@
-// Cluster-layer tests: the content-addressed bitstream cache (dedupe, LRU
-// eviction, digest stability), the device pool's cluster-wide ConfigId
-// guarantee, live-migration correctness down at the register level
+// Cluster-layer tests: the content-keyed circuit store (dedupe, digest
+// stability), the device pool's cluster-wide ConfigId guarantee and its
+// shared entries, live-migration correctness down at the register level
 // (snapshot -> move -> resume must be bit-identical to an uninterrupted
 // run, for both a cooperative hand-off and a quarantine-forced
 // relocation), the kernel migration ticket, and the cluster scheduler
@@ -30,30 +30,41 @@ Netlist named(Netlist nl, const char* name) {
   return nl;
 }
 
-// ---- BitstreamCache --------------------------------------------------------
+// ---- CircuitStore ----------------------------------------------------------
 
-TEST(BitstreamCache, DigestIsStableAndContentSensitive) {
-  Device dev = mediumPartialProfile().makeDevice();
+TEST(CircuitStore, DigestIsStableAndContentSensitive) {
+  const DeviceProfile prof = mediumPartialProfile();
   const Netlist a = named(lib::makeCounter(6), "count");
   const Netlist b = named(lib::makeLfsr(8, 0b10111000), "lfsr");
-  const std::uint32_t fb = mediumPartialProfile().frameBits;
+  const auto digest = [](const Netlist& nl, const DeviceProfile& p,
+                         std::uint16_t width, const std::string& name) {
+    return cluster::compileDigest(nl, name, p, width);
+  };
+  const std::uint64_t base = digest(a, prof, 4, "count");
 
-  EXPECT_EQ(cluster::compileDigest(a, dev.geometry(), fb, 4),
-            cluster::compileDigest(a, dev.geometry(), fb, 4));
-  EXPECT_NE(cluster::compileDigest(a, dev.geometry(), fb, 4),
-            cluster::compileDigest(b, dev.geometry(), fb, 4));
+  EXPECT_EQ(base, digest(a, prof, 4, "count"));
+  EXPECT_NE(base, digest(b, prof, 4, "count"));
   // Same netlist, different strip width or frame size: distinct identity.
-  EXPECT_NE(cluster::compileDigest(a, dev.geometry(), fb, 4),
-            cluster::compileDigest(a, dev.geometry(), fb, 5));
-  EXPECT_NE(cluster::compileDigest(a, dev.geometry(), fb, 4),
-            cluster::compileDigest(a, dev.geometry(), fb * 2, 4));
+  EXPECT_NE(base, digest(a, prof, 5, "count"));
+  DeviceProfile p = prof;
+  p.frameBits *= 2;
+  EXPECT_NE(base, digest(a, p, 4, "count"));
   // Different fabric geometry: distinct identity.
-  Device tiny = tinyProfile().makeDevice();
-  EXPECT_NE(cluster::compileDigest(a, dev.geometry(), fb, 4),
-            cluster::compileDigest(a, tiny.geometry(), fb, 4));
+  EXPECT_NE(base, digest(a, tinyProfile(), 4, "count"));
+  p = prof;
+  p.geometry.wiresPerChannel += 2;
+  EXPECT_NE(base, digest(a, p, 4, "count"));
+  // The registered name and the fabric timing (the entry's clock period
+  // depends on it) are part of the identity too.
+  EXPECT_NE(base, digest(a, prof, 4, "slow"));
+  p = prof;
+  p.timing.switchDelay += 1;
+  EXPECT_NE(base, digest(a, p, 4, "count"));
+  // The port is not: a serial part of the same fabric shares the entry.
+  EXPECT_EQ(base, digest(a, mediumSerialProfile(), 4, "count"));
 }
 
-TEST(BitstreamCache, DedupesCompilesAndCountsHits) {
+TEST(CircuitStore, DedupesCompilesAndCountsHits) {
   Device dev = mediumPartialProfile().makeDevice();
   Compiler compiler(dev);
   const Netlist nl = named(lib::makeCounter(6), "count");
@@ -63,52 +74,35 @@ TEST(BitstreamCache, DedupesCompilesAndCountsHits) {
     return compiler.compile(nl, Region::columns(compiler.geometry(), 0, 4));
   };
 
-  cluster::BitstreamCache cache(8);
-  auto c1 = cache.getOrCompile(11, compileFn);
-  auto c2 = cache.getOrCompile(11, compileFn);
-  auto c3 = cache.getOrCompile(11, compileFn);
+  CircuitStore store;
+  auto c1 = store.getOrCompile(11, dev, compileFn);
+  auto c2 = store.getOrCompile(11, dev, compileFn);
+  auto c3 = store.getOrCompile(11, dev, compileFn);
   EXPECT_EQ(compiles, 1);
   EXPECT_EQ(c1.get(), c2.get());
   EXPECT_EQ(c2.get(), c3.get());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().compiles, 1u);
-  EXPECT_EQ(cache.stats().uniqueDigests, 1u);
-  EXPECT_DOUBLE_EQ(cache.hitRate(), 2.0 / 3.0);
-}
-
-TEST(BitstreamCache, LruEvictionRecompilesColdEntry) {
-  Device dev = mediumPartialProfile().makeDevice();
-  Compiler compiler(dev);
-  const Netlist nl = named(lib::makeCounter(6), "count");
-  auto compileFn = [&] {
-    return compiler.compile(nl, Region::columns(compiler.geometry(), 0, 4));
-  };
-
-  cluster::BitstreamCache cache(2);
-  auto kept = cache.getOrCompile(1, compileFn);  // shared ptr survives evict
-  cache.getOrCompile(2, compileFn);
-  cache.getOrCompile(1, compileFn);  // touch 1: now 2 is the LRU entry
-  cache.getOrCompile(3, compileFn);  // evicts 2
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  cache.getOrCompile(2, compileFn);  // cold again: recompile
-  EXPECT_EQ(cache.stats().compiles, 4u);
-  EXPECT_EQ(cache.stats().uniqueDigests, 3u);  // 2 counted once, not twice
-  EXPECT_NE(kept.get(), nullptr);
+  EXPECT_EQ(store.stats().compiles, 1u);
+  EXPECT_EQ(store.stats().hits, 2u);
+  EXPECT_DOUBLE_EQ(store.hitRate(), 2.0 / 3.0);
+  // The entry is decoded once, as a private registration would be.
+  EXPECT_EQ(c1->clockPeriod(),
+            StoredCircuit(c1->circuit(), dev).clockPeriod());
+  // Relocations are made once per column and shared by every holder.
+  EXPECT_EQ(&c1->placed(6, compiler), &c3->placed(6, compiler));
+  EXPECT_EQ(c1->placed(6, compiler).region.x0, 6);
 }
 
 // ---- DevicePool ------------------------------------------------------------
 
 TEST(DevicePool, WorkloadIdsAgreeAcrossNodesAndCompileOnce) {
   Simulation sim;
-  cluster::BitstreamCache cache(8);
+  CircuitStore store;
   std::vector<cluster::DeviceNodeSpec> specs(3);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     specs[i].name = "dev" + std::to_string(i);
     specs[i].profile = mediumPartialProfile();
   }
-  cluster::DevicePool pool(sim, specs, cache);
+  cluster::DevicePool pool(sim, specs, store);
 
   const cluster::WorkloadId w0 =
       pool.registerWorkload("count", named(lib::makeCounter(6), "count"), 4);
@@ -120,13 +114,77 @@ TEST(DevicePool, WorkloadIdsAgreeAcrossNodesAndCompileOnce) {
   EXPECT_EQ(pool.workloadWidth(w0), 4);
   EXPECT_EQ(pool.workloadCount(), 2u);
   // 2 workloads x 3 nodes = 6 registrations but only 2 real compiles.
-  EXPECT_EQ(cache.stats().compiles, 2u);
-  EXPECT_EQ(cache.stats().hits, 4u);
-  EXPECT_EQ(cache.stats().uniqueDigests, 2u);
+  EXPECT_EQ(store.stats().compiles, 2u);
+  EXPECT_EQ(store.stats().hits, 4u);
   for (std::size_t i = 0; i < pool.nodeCount(); ++i) {
     EXPECT_EQ(pool.node(i).kernel().registry().size(), 2u);
     EXPECT_EQ(pool.node(i).usableColumns(), 12);
   }
+}
+
+TEST(DevicePool, SameFabricNodesShareOneRelocatedCircuit) {
+  Simulation sim;
+  CircuitStore store;
+  std::vector<cluster::DeviceNodeSpec> specs(2);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].name = "dev" + std::to_string(i);
+    specs[i].profile = mediumPartialProfile();
+  }
+  cluster::DevicePool pool(sim, specs, store);
+  const cluster::WorkloadId w =
+      pool.registerWorkload("count", named(lib::makeCounter(6), "count"), 4);
+
+  ConfigRegistry& r0 = pool.node(0).kernel().registry();
+  ConfigRegistry& r1 = pool.node(1).kernel().registry();
+  EXPECT_EQ(&r0.entry(w), &r1.entry(w));
+  for (const std::uint16_t x0 : {0, 3, 8}) {
+    const CompiledCircuit& on0 = r0.placed(w, x0, pool.node(0).compiler());
+    const CompiledCircuit& on1 = r1.placed(w, x0, pool.node(1).compiler());
+    EXPECT_EQ(&on0, &on1) << "x0=" << x0;
+    EXPECT_EQ(on0.region.x0, x0);
+  }
+}
+
+TEST(DevicePool, SameNetlistUnderTwoNamesRegistersBoth) {
+  Simulation sim;
+  CircuitStore store;
+  std::vector<cluster::DeviceNodeSpec> specs(2);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].name = "dev" + std::to_string(i);
+    specs[i].profile = mediumPartialProfile();
+  }
+  cluster::DevicePool pool(sim, specs, store);
+  const Netlist nl = lib::makeCounter(6);
+  const cluster::WorkloadId fast = pool.registerWorkload("fast", nl, 4);
+  const cluster::WorkloadId slow = pool.registerWorkload("slow", nl, 4);
+  for (std::size_t i = 0; i < pool.nodeCount(); ++i) {
+    const ConfigRegistry& reg = pool.node(i).kernel().registry();
+    EXPECT_EQ(reg.circuit(fast).name, "fast");
+    EXPECT_EQ(reg.circuit(slow).name, "slow");
+  }
+}
+
+TEST(DevicePool, EachNodeClocksFromItsOwnTiming) {
+  Simulation sim;
+  CircuitStore store;
+  std::vector<cluster::DeviceNodeSpec> specs(2);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].name = "dev" + std::to_string(i);
+    specs[i].profile = mediumPartialProfile();
+  }
+  specs[1].profile.timing.switchDelay *= 3;  // same geometry, slower wires
+  cluster::DevicePool pool(sim, specs, store);
+  const cluster::WorkloadId w =
+      pool.registerWorkload("count", named(lib::makeCounter(6), "count"), 4);
+
+  for (std::size_t i = 0; i < pool.nodeCount(); ++i) {
+    cluster::DeviceNode& node = pool.node(i);
+    const StoredCircuit own(node.kernel().registry().circuit(w),
+                            node.device());
+    EXPECT_EQ(node.kernel().clockPeriod(w), own.clockPeriod()) << i;
+  }
+  EXPECT_GT(pool.node(1).kernel().clockPeriod(w),
+            pool.node(0).kernel().clockPeriod(w));
 }
 
 // ---- migration correctness (register level) --------------------------------
@@ -200,7 +258,7 @@ TEST(Migration, QuarantineForcedRelocationIsBitIdentical) {
   Device dev = prof.makeDevice();
   ConfigPort port(dev, prof.port);
   Compiler compiler(dev);
-  ConfigRegistry registry;
+  ConfigRegistry registry(dev);
   const ConfigId cfg = registry.add(
       compiler.compile(nl, Region::columns(compiler.geometry(), 0, 4)));
   PartitionManager pm(dev, port, registry, compiler);
@@ -422,7 +480,7 @@ struct CampaignConfig {
 
 struct CampaignRun {
   Simulation sim;
-  cluster::BitstreamCache cache{16};
+  CircuitStore store;
   std::unique_ptr<cluster::DevicePool> pool;
   std::unique_ptr<cluster::ClusterScheduler> sched;
 };
@@ -441,7 +499,7 @@ std::unique_ptr<CampaignRun> buildCampaign(const CampaignConfig& cfg) {
     }
   }
   run->pool = std::make_unique<cluster::DevicePool>(run->sim, specs,
-                                                    run->cache);
+                                                    run->store);
   const cluster::WorkloadId w =
       run->pool->registerWorkload("count", named(lib::makeCounter(6), "count"),
                                   4);

@@ -442,13 +442,13 @@ TEST(Batch, AllLanesIndependent) {
 
 TEST(Pool, ReplayIsByteIdenticalAcrossThreadCountsAndEngines) {
   Simulation sim;
-  cluster::BitstreamCache cache(8);
+  CircuitStore store;
   std::vector<cluster::DeviceNodeSpec> specs(3);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     specs[i].name = "dev" + std::to_string(i);
     specs[i].profile = mediumPartialProfile();
   }
-  cluster::DevicePool pool(sim, specs, cache);
+  cluster::DevicePool pool(sim, specs, store);
   Netlist nl = lib::makeSerialCrc(8, 0x07);
   nl.setName("crc8");
   const cluster::WorkloadId w = pool.registerWorkload("crc8", nl, 4);

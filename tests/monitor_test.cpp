@@ -454,7 +454,7 @@ TEST(MonitorLint, FlagsEveryMisconfiguration) {
 
 struct MonitoredRun {
   Simulation sim;
-  cluster::BitstreamCache cache{16};
+  CircuitStore circuits;
   std::unique_ptr<cluster::DevicePool> pool;
   std::unique_ptr<cluster::ClusterScheduler> sched;
   TimeSeriesStore store{512};
@@ -472,7 +472,7 @@ std::unique_ptr<MonitoredRun> makeRun(std::size_t devices,
     specs[i].profile = mediumPartialProfile();
   }
   run->pool = std::make_unique<cluster::DevicePool>(run->sim, specs,
-                                                    run->cache);
+                                                    run->circuits);
   run->workload = run->pool->registerWorkload(
       "count", named(lib::makeCounter(6), "count"), 4);
   cluster::ClusterOptions copt;

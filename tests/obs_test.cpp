@@ -547,7 +547,7 @@ TEST(Heatmap, PartitionManagerObserverSnapshotsAllocatorState) {
   Device dev = p.makeDevice();
   ConfigPort port(dev, p.port);
   Compiler compiler(dev);
-  ConfigRegistry cfgs;
+  ConfigRegistry cfgs(dev);
   PartitionManager pm(dev, port, cfgs, compiler, {});
   obs::HeatmapCollector hm(static_cast<std::uint16_t>(dev.geometry().cols));
   std::uint64_t tick = 0;

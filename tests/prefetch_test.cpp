@@ -30,7 +30,7 @@ class PrefetchTest : public ::testing::Test {
   Device dev_;
   ConfigPort port_;
   Compiler compiler_;
-  ConfigRegistry registry_;
+  ConfigRegistry registry_{dev_};
 };
 
 TEST_F(PrefetchTest, LearnsAlternationAndHidesDownloads) {

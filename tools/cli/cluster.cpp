@@ -93,14 +93,14 @@ OsOptions priorityScheduling() {
   return base;
 }
 
-/// `devices` medium_partial nodes sharing one simulation and bitstream
-/// cache, the trio registered and jobsPerDevice * devices seeded jobs
+/// `devices` medium_partial nodes sharing one simulation and circuit
+/// store, the trio registered and jobsPerDevice * devices seeded jobs
 /// submitted; ready to run.
 struct ClusterCampaign {
   ClusterCampaign(const ClusterPlan& plan, std::size_t devices,
                   std::uint64_t seed)
       : specs(nodeSpecs(devices, plan.faulty)),
-        pool(sim, specs, cache, priorityScheduling()),
+        pool(sim, specs, store, priorityScheduling()),
         sched(sim, pool, plan.options) {
     std::array<cluster::WorkloadId, 3> ws{};
     const std::array<Netlist, 3> nls = trioNetlists();
@@ -122,7 +122,7 @@ struct ClusterCampaign {
   }
   std::vector<cluster::DeviceNodeSpec> specs;
   Simulation sim;
-  cluster::BitstreamCache cache{32};
+  CircuitStore store;
   cluster::DevicePool pool;
   cluster::ClusterScheduler sched;
 };
@@ -130,7 +130,7 @@ struct ClusterCampaign {
 }  // namespace
 
 /// Seeded multi-device cluster campaign: N partitioned kernels sharing one
-/// simulation and one content-addressed bitstream cache, admission
+/// simulation and one content-keyed circuit store, admission
 /// backpressure, pluggable placement and live migration off degraded
 /// devices (with failback after transient faults heal). The report is
 /// byte-identical per (seed, devices, policy, campaign); a copy always

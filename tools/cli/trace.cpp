@@ -385,7 +385,7 @@ int reportCmd(const Args& a) {
   // Standalone manager exercises for the remaining techniques (the §2
   // tour), snapshotted via publishMetrics.
   {
-    ConfigRegistry cfgs;
+    ConfigRegistry cfgs(dev);
     DynamicLoader loader(dev, port, cfgs);
     const ConfigId la = cfgs.add(count);
     const ConfigId lb = cfgs.add(csum);
@@ -395,7 +395,7 @@ int reportCmd(const Args& a) {
     publishMetrics(loader, reg);
   }
   {
-    ConfigRegistry cfgs;
+    ConfigRegistry cfgs(dev);
     PartitionManager pm(dev, port, cfgs, compiler, {});
     pm.load(cfgs.add(count));
     pm.load(cfgs.add(csum));
@@ -438,7 +438,7 @@ int reportCmd(const Args& a) {
     publishMetrics(pg, reg);
   }
   {
-    ConfigRegistry cfgs;
+    ConfigRegistry cfgs(dev);
     PrefetchLoader pf(dev, port, cfgs, compiler);
     const ConfigId fa = cfgs.add(count);
     const ConfigId fb = cfgs.add(csum);
