@@ -1,5 +1,5 @@
 // Resource ledger: attributes simulated cost — FPGA cycles, config-port
-// bits, downloads vs resident-config hits, BitstreamCache hits/misses,
+// bits, downloads vs resident-config hits, circuit-store hits/misses,
 // relocations, preemptions, migrations, wait/exec time — per task, and
 // rolls the rows up per priority class. The rollup publishes through
 // MetricsRegistry so exporters, bench sidecars and the cluster report all
@@ -24,8 +24,8 @@ struct LedgerRow {
   std::uint64_t configBits = 0;   ///< config-port bits written for this task
   std::uint64_t downloads = 0;    ///< downloads the task paid for
   std::uint64_t configHits = 0;   ///< grants served by a resident config
-  std::uint64_t cacheHits = 0;    ///< BitstreamCache hits (cluster runs)
-  std::uint64_t cacheMisses = 0;  ///< BitstreamCache compiles (cluster runs)
+  std::uint64_t cacheHits = 0;    ///< CircuitStore hits (cluster runs)
+  std::uint64_t cacheMisses = 0;  ///< CircuitStore compiles (cluster runs)
   std::uint64_t relocations = 0;
   std::uint64_t preemptions = 0;
   std::uint64_t migrations = 0;

@@ -1,12 +1,12 @@
 // CompiledKernelCache: content-addressed LRU cache of levelized fabric
 // programs, keyed by the configuration-image digest (program.hpp).
 //
-// The digest subsumes "bitstream compileDigest + placement": a relocated
+// The digest subsumes "circuit-store key + placement": a relocated
 // circuit yields a different image, hence a different key, hence a
 // different program — so cache reuse can never serve a kernel for a
 // configuration that is not bit-identically on the fabric. Sharing one
 // cache across a DevicePool deduplicates levelization the same way the
-// BitstreamCache deduplicates compilation.
+// pool's CircuitStore deduplicates compilation and relocation.
 //
 // Thread safety: lookup/insert/stats are mutex-guarded so parallel
 // per-device replay workers can share one cache; the cached programs

@@ -89,7 +89,7 @@ struct FabricProgram {
 /// FNV-1a digest of the device's configuration image and geometry — the
 /// cache key. Two devices with bit-identical images and geometry compute
 /// identical functions, regardless of which bitstreams/placements produced
-/// the image (this subsumes keying by compileDigest + placement, and makes
+/// the image (this subsumes keying by circuit-store key + placement, and makes
 /// the key correct for hand-poked images too).
 std::uint64_t configDigest(const Device& dev);
 
