@@ -157,8 +157,8 @@ void BM_FrameCrc(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameCrc);
 
-// OsKernel::registerConfig's decode of a circuit: its partial on a blank
-// image, the elaboration and the critical path.
+// The registration decode of a circuit (the StoredCircuit constructor): its
+// partial on a blank image, the elaboration and the critical path.
 void BM_RegisterDecode(benchmark::State& state) {
   Device dev = mediumPartialProfile().makeDevice();
   const Bitstream bs = mediumPartial(dev);
